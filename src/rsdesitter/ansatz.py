@@ -67,6 +67,10 @@ class ModeLabel:
             raise ValueError(f"m_j = {self.m_j} incompatible with j = {self.j}")
         if self.delta not in (None, 1, -1):
             raise ValueError(f"delta must be +1, -1 or None, got {self.delta}")
+        if not np.isfinite(self.eps):
+            raise ValueError(f"eps must be finite, got {self.eps}")
+        if not np.isfinite(self.mass):
+            raise ValueError(f"mass must be finite, got {self.mass}")
 
     @property
     def two_j(self) -> int:

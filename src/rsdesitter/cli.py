@@ -357,7 +357,8 @@ def _trace_csv(trace: solver.SolutionTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_integrate(args, outdir: str, tag: str = "integrate") -> int:
+def _integrate_inputs(args) -> tuple[ModeLabel, float, float, float]:
+    """Validated (mode, from, to, tol) of one integration; ValueError if bad."""
     mode = _mode_from_args(args)
     if mode.delta is None:
         raise ValueError("integrate requires --delta")
@@ -368,7 +369,11 @@ def run_integrate(args, outdir: str, tag: str = "integrate") -> int:
         raise ValueError("--from/--to must lie inside (0, pi/2)")
     if not 1e-14 <= tol <= 1e-4:
         raise ValueError("--tol must lie in [1e-14, 1e-4]")
+    return mode, w_from, w_to, tol
 
+
+def run_integrate(args, outdir: str, tag: str = "integrate") -> int:
+    mode, w_from, w_to, tol = _integrate_inputs(args)
     system = radial.RadialSystem(mode=mode, dimension=8)
     cons = radial.ConstraintSet(mode=mode)
     manifest = Manifest(tag, vars(args))
@@ -445,8 +450,19 @@ def run_sweep(args, outdir: str) -> int:
                 }
                 jobs.append((ns, outdir, f"sweep_{idx:03d}"))
                 idx += 1
+    if not jobs:
+        raise ValueError("the sweep has no jobs")
+    if int(args.workers) < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
+    # a bad entry fails here, before any job writes a file
+    for ns, _, tag in jobs:
+        try:
+            _integrate_inputs(argparse.Namespace(**ns))
+        except ValueError as exc:
+            raise ValueError(f"{tag}: {exc}") from exc
     status = 0
-    with ProcessPoolExecutor(max_workers=int(args.workers)) as pool:
+    workers = min(int(args.workers), len(jobs), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for tag, code in pool.map(_sweep_job, jobs):
             if code != 0:
                 status = code

@@ -11,6 +11,13 @@ Every entry is therefore analytic in the mode parameters, derivatives in
 omega are exact, and the simple poles at omega = 0 and omega = pi/2 have
 closed-form residues.
 
+The constant matrices depend on j (and delta) alone, so they are built
+once per (j, delta, dimension) into a read-only (5, n*n) stack held in a
+bounded cache; the coefficient matrix, its omega-derivative, the endpoint
+residues and the divergence constraint rows are all products of five
+scalar weights with such a stack, and many omegas take one (k, 5) @ (5, .)
+product.
+
 Diagonalizing spatial inversion halves the system: amplitudes (h, nu) are
 tied to (g, f) by the sign delta, and the reduced 8x8 generator equals the
 16x16 one compressed through the embedding, with effective mass delta * M.
@@ -24,14 +31,17 @@ four-row constraint surface is invariant under the flow, which
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ansatz
 from .ansatz import ModeLabel
+from .wigner import angular_coefficients
 
 _S2 = np.sqrt(2.0)
+_HALF_PI = 0.5 * np.pi
 
 # amplitude index helpers for the 16-state (f, g, h, nu) and the 8-state (f, g)
 _F, _G, _H, _N = 0, 4, 8, 12
@@ -40,22 +50,22 @@ _PARTNER = (0, 3, 2, 1)  # vector-slot pairing induced by inversion
 # row sign of the i d/domega term: +1 on f and nu rows, -1 on g and h rows
 _SIGN16 = np.array([1] * 4 + [-1] * 4 + [-1] * 4 + [1] * 4)
 _SIGN8 = np.array([1] * 4 + [-1] * 4)
+# factor each scalar carries in the row sum: E and m enter real, T, 1/sin, 1/tan with i
+_SCALAR_PHASE = np.array([1.0, 1j, 1j, 1j, 1.0])
 
 
-def _coefficient_tables_16(mode: ModeLabel):
+def _coefficient_tables_16(two_j: int) -> np.ndarray:
     """Constant matrices (M_E, M_T, M_S, M_iT, M_m) of the 16-row system.
 
     Row k of the system reads  E X_k + s_k i X_k' + (couplings) = 0 with
     couplings = i T (M_T row) + (i/sin) (M_S row) + (i/tan) (M_iT row)
     - m (M_m row); the tables hold the amplitude weights of each scalar.
+    Returned as one real (5, 16, 16) array in that order.
     """
-    co = mode.coefficients()
+    co = angular_coefficients(two_j / 2.0)
     a, b = co.a, co.b
-    me = np.eye(16, dtype=complex)
-    mt = np.zeros((16, 16), dtype=complex)
-    ms = np.zeros((16, 16), dtype=complex)
-    mit = np.zeros((16, 16), dtype=complex)
-    mm = np.zeros((16, 16), dtype=complex)
+    me, mt, ms, mit, mm = tables = np.zeros((5, 16, 16))
+    me[:] = np.eye(16)
 
     def fill(base: int, other: int, sgn: float) -> None:
         """Couplings of one bispinor half: base in {f, h}, other in {g, nu}."""
@@ -86,22 +96,45 @@ def _coefficient_tables_16(mode: ModeLabel):
         mm[_G + l, _N + l] = -1.0
         mm[_H + l, _F + l] = -1.0
         mm[_N + l, _G + l] = -1.0
-    return me, mt, ms, mit, mm
+    return tables
 
 
-def _coefficient_tables_8(mode: ModeLabel):
-    """Constant matrices of the inversion-reduced 8-row system."""
+@functools.lru_cache(maxsize=32)
+def _system_stack(two_j: int, delta: int | None, dimension: int) -> np.ndarray:
+    """Read-only (5, n*n) stack with A(omega) = scalars(omega) @ stack.
+
+    Folds the row factor i * sign and the i carried by the T, 1/sin and
+    1/tan terms into the tables; both are multiplications by +-1 or +-i,
+    hence exact.  The tables depend on j alone (and on delta through the
+    embedding), never on eps, mass or m_j, so modes that differ only in
+    those share one entry.  ``delta`` is ignored (pass None) at n = 16.
+    """
+    tables = _coefficient_tables_16(two_j)
+    if dimension == 8:
+        # the xi rows of the 16-row tables compress exactly through the embedding
+        tables = tables[:, :8, :] @ parity_embed(delta)
+        sign = _SIGN8
+    else:
+        sign = _SIGN16
+    stack = (_SCALAR_PHASE[:, None, None] * (1j * sign)[None, :, None]) * tables
+    stack = stack.reshape(5, dimension * dimension)
+    stack.flags.writeable = False
+    return stack
+
+
+def _reduced_delta(mode: ModeLabel) -> int:
     if mode.delta not in (1, -1):
         raise ValueError("reduced system needs delta = +1 or -1 in the mode label")
-    me16, mt16, ms16, mit16, mm16 = _coefficient_tables_16(mode)
-    emb = parity_embed(mode.delta)
-    # the xi rows of the 16-row tables compress exactly through the embedding
-    rows = slice(0, 8)
-    return tuple(m[rows, :] @ emb for m in (me16, mt16, ms16, mit16, mm16))
+    return mode.delta
 
 
-def _scalars(mode: ModeLabel, omega: float):
-    if not 0.0 < omega < 0.5 * np.pi:
+def _scalars(mode: ModeLabel, omega):
+    """Weights (E, T, 1/sin, 1/tan, m) at omega, a float or a 1-d float array."""
+    if isinstance(omega, np.ndarray):
+        inside = bool(np.all((omega > 0.0) & (omega < _HALF_PI)))
+    else:
+        inside = 0.0 < omega < _HALF_PI
+    if not inside:
         raise ValueError(f"omega must lie in (0, pi/2), got {omega}")
     return (
         mode.eps / np.cos(omega),
@@ -112,16 +145,14 @@ def _scalars(mode: ModeLabel, omega: float):
     )
 
 
-def _scalar_derivatives(mode: ModeLabel, omega: float):
+def _scalar_derivatives(mode: ModeLabel, omega):
     e, t, inv_s, inv_t, _ = _scalars(mode, omega)
     return (e * t, 1.0 + t * t, -inv_s * inv_t, -inv_s * inv_s, 0.0)
 
 
-def _system_from_tables(tables, scalars, sign) -> np.ndarray:
-    me, mt, ms, mit, mm = tables
-    e, t, inv_s, inv_t, m = scalars
-    r = e * me + 1j * t * mt + 1j * inv_s * ms + 1j * inv_t * mit + m * mm
-    return (1j * sign)[:, None] * r
+def _weighted(weights, stack: np.ndarray, rows: int) -> np.ndarray:
+    """Fresh matrix sum_k weights[k] * stack[k] with ``rows`` rows."""
+    return (np.array(weights, dtype=complex) @ stack).reshape(rows, -1)
 
 
 def build_A16(mode: ModeLabel, omega: float) -> np.ndarray:
@@ -131,9 +162,7 @@ def build_A16(mode: ModeLabel, omega: float) -> np.ndarray:
     slots on which printed transcriptions of the system disagree carry the
     values fixed by :func:`assemble_from_angular`.
     """
-    return _system_from_tables(
-        _coefficient_tables_16(mode), _scalars(mode, omega), _SIGN16
-    )
+    return _weighted(_scalars(mode, omega), _system_stack(mode.two_j, None, 16), 16)
 
 
 def parity_embed(delta: int) -> np.ndarray:
@@ -160,16 +189,14 @@ def build_A8(mode: ModeLabel, omega: float) -> np.ndarray:
     Satisfies A16(omega) P_delta = P_delta A8(omega) exactly, and flipping
     delta is the same as flipping the sign of the mass.
     """
-    return _system_from_tables(
-        _coefficient_tables_8(mode), _scalars(mode, omega), _SIGN8
-    )
+    stack = _system_stack(mode.two_j, _reduced_delta(mode), 8)
+    return _weighted(_scalars(mode, omega), stack, 8)
 
 
 def build_dA8(mode: ModeLabel, omega: float) -> np.ndarray:
     """Exact omega-derivative of the reduced coefficient matrix."""
-    return _system_from_tables(
-        _coefficient_tables_8(mode), _scalar_derivatives(mode, omega), _SIGN8
-    )
+    stack = _system_stack(mode.two_j, _reduced_delta(mode), 8)
+    return _weighted(_scalar_derivatives(mode, omega), stack, 8)
 
 
 def amplitude_parity_matrix() -> np.ndarray:
@@ -197,13 +224,13 @@ def singular_residues(mode: ModeLabel, dimension: int = 8):
     -eps and -1 weights.
     """
     if dimension == 8:
-        tables, sign = _coefficient_tables_8(mode), _SIGN8
+        stack = _system_stack(mode.two_j, _reduced_delta(mode), 8)
     elif dimension == 16:
-        tables, sign = _coefficient_tables_16(mode), _SIGN16
+        stack = _system_stack(mode.two_j, None, 16)
     else:
         raise ValueError("dimension must be 8 or 16")
-    origin = _system_from_tables(tables, (0.0, 0.0, 1.0, 1.0, 0.0), sign)
-    horizon = _system_from_tables(tables, (-mode.eps, -1.0, 0.0, 0.0, 0.0), sign)
+    origin = _weighted((0.0, 0.0, 1.0, 1.0, 0.0), stack, dimension)
+    horizon = _weighted((-mode.eps, -1.0, 0.0, 0.0, 0.0), stack, dimension)
     return origin, horizon
 
 
@@ -242,31 +269,52 @@ class RadialSystem:
 # constraints
 # ---------------------------------------------------------------------------
 
-def _nonderivative_rows(mode: ModeLabel, omega: float, derivative: bool = False):
-    """The divergence rows before eliminating X2'; optionally their
-    omega-derivative."""
-    co = mode.coefficients()
+# rows 1-2: the algebraic gamma-trace relations, constant in omega
+_TRACE_ROWS = np.zeros((4, 8), dtype=complex)
+_TRACE_ROWS[0, 5] = 1.0
+_TRACE_ROWS[0, 0] = _TRACE_ROWS[0, 2] = -1.0 / _S2
+_TRACE_ROWS[1, 3] = 1.0
+_TRACE_ROWS[1, 6] = -1.0 / _S2
+_TRACE_ROWS[1, 4] = 1.0 / _S2
+_TRACE_ROWS.flags.writeable = False
+# points per block in ConstraintSet.residuals_many
+_RESIDUAL_BLOCK = 128
+
+
+@functools.lru_cache(maxsize=32)
+def _constraint_stack(two_j: int, delta: int) -> np.ndarray:
+    """Read-only (5, 32) stack with C(omega) = _TRACE_ROWS + scalars @ stack.
+
+    Only rows 3-4 are nonzero: the divergence relations with the radial
+    derivatives f2', g2' eliminated through the flow, i.e. L_1 minus the f2
+    row and L_2 minus the g2 row of the reduced system.  The non-derivative
+    parts L_1, L_2 are linear in the same five scalars:
+
+        L_1 = (-iE - T/2) f0 - (1/tan - T/2) f2 - (b f1 + a f3)/(sqrt2 sin)
+              - g1/(sqrt2 tan),
+        L_2 = (-iE + T/2) g0 - (1/tan - T/2) g2 - (a g1 + b g3)/(sqrt2 sin)
+              - f3/(sqrt2 tan).
+    """
+    co = angular_coefficients(two_j / 2.0)
     a, b = co.a, co.b
-    e, t, inv_s, inv_t, _ = _scalars(mode, omega)
-    if derivative:
-        de, dt, dinv_s, dinv_t, _ = _scalar_derivatives(mode, omega)
-        e, t, inv_s, inv_t = de, dt, dinv_s, dinv_t
-    slope = inv_t - t / 2.0
-
-    l1 = np.zeros(8, dtype=complex)
-    l1[0] = -1j * e - t / 2.0
-    l1[2] = -slope
-    l1[5] = -inv_t / _S2
-    l1[1] = -b * inv_s / _S2
-    l1[3] = -a * inv_s / _S2
-
-    l2 = np.zeros(8, dtype=complex)
-    l2[4] = -1j * e + t / 2.0
-    l2[6] = -slope
-    l2[3] = -inv_t / _S2
-    l2[5] = -a * inv_s / _S2
-    l2[7] = -b * inv_s / _S2
-    return l1, l2
+    w = np.zeros((4, 8, 5), dtype=complex)  # weights of (E, T, 1/sin, 1/tan, m)
+    w[2, 0] = (-1j, -0.5, 0.0, 0.0, 0.0)
+    w[2, 1] = (0.0, 0.0, -b / _S2, 0.0, 0.0)
+    w[2, 2] = (0.0, 0.5, 0.0, -1.0, 0.0)
+    w[2, 3] = (0.0, 0.0, -a / _S2, 0.0, 0.0)
+    w[2, 5] = (0.0, 0.0, 0.0, -1.0 / _S2, 0.0)
+    w[3, 3] = (0.0, 0.0, 0.0, -1.0 / _S2, 0.0)
+    w[3, 4] = (-1j, 0.5, 0.0, 0.0, 0.0)
+    w[3, 5] = (0.0, 0.0, -a / _S2, 0.0, 0.0)
+    w[3, 6] = (0.0, 0.5, 0.0, -1.0, 0.0)
+    w[3, 7] = (0.0, 0.0, -b / _S2, 0.0, 0.0)
+    rows = np.ascontiguousarray(np.moveaxis(w, 2, 0))
+    system = _system_stack(two_j, delta, 8).reshape(5, 8, 8)
+    rows[:, 2] -= system[:, 2]
+    rows[:, 3] -= system[:, 6]
+    stack = rows.reshape(5, 32)
+    stack.flags.writeable = False
+    return stack
 
 
 def constraint_matrix(mode: ModeLabel, omega: float) -> np.ndarray:
@@ -276,28 +324,14 @@ def constraint_matrix(mode: ModeLabel, omega: float) -> np.ndarray:
     divergence relations with the radial derivatives eliminated through
     the flow, hence purely algebraic functionals of Y.
     """
-    c = np.zeros((4, 8), dtype=complex)
-    c[0, 5] = 1.0
-    c[0, 0] = c[0, 2] = -1.0 / _S2
-    c[1, 3] = 1.0
-    c[1, 6] = -1.0 / _S2
-    c[1, 4] = 1.0 / _S2
-
-    a8 = build_A8(mode, omega)
-    l1, l2 = _nonderivative_rows(mode, omega)
-    c[2] = l1 - a8[2]
-    c[3] = l2 - a8[6]
-    return c
+    stack = _constraint_stack(mode.two_j, _reduced_delta(mode))
+    return _TRACE_ROWS + _weighted(_scalars(mode, omega), stack, 4)
 
 
 def constraint_matrix_derivative(mode: ModeLabel, omega: float) -> np.ndarray:
     """Exact omega-derivative of :func:`constraint_matrix`."""
-    dc = np.zeros((4, 8), dtype=complex)
-    da8 = build_dA8(mode, omega)
-    dl1, dl2 = _nonderivative_rows(mode, omega, derivative=True)
-    dc[2] = dl1 - da8[2]
-    dc[3] = dl2 - da8[6]
-    return dc
+    stack = _constraint_stack(mode.two_j, _reduced_delta(mode))
+    return _weighted(_scalar_derivatives(mode, omega), stack, 4)
 
 
 def constraint_matrix_printed_variant(mode: ModeLabel, omega: float) -> np.ndarray:
@@ -334,6 +368,31 @@ class ConstraintSet:
             return np.zeros(4)
         vals = np.abs(c @ state)
         return vals / (np.linalg.norm(c, axis=1) * ynorm)
+
+    def residuals_many(self, omegas, states) -> np.ndarray:
+        """:meth:`residuals` at k points at once: omegas (k,), states (k, 8) -> (k, 4).
+
+        Each block of points takes one (block, 5) @ (5, 32) product for its
+        constraint matrices, then row norms; blocks keep the temporaries
+        small however long the trace.
+        """
+        omegas = np.asarray(omegas, dtype=float)
+        states = np.asarray(states, dtype=complex)
+        stack = _constraint_stack(self.mode.two_j, _reduced_delta(self.mode))
+        out = np.zeros((len(omegas), 4))
+        for lo in range(0, len(omegas), _RESIDUAL_BLOCK):
+            w, y = omegas[lo:lo + _RESIDUAL_BLOCK], states[lo:lo + _RESIDUAL_BLOCK]
+            weights = np.column_stack(np.broadcast_arrays(*_scalars(self.mode, w)))
+            c = (weights @ stack).reshape(-1, 4, 8)
+            c += _TRACE_ROWS
+            vals = np.abs(np.einsum("kij,kj->ki", c, y))
+            row_norms = np.sqrt(
+                np.einsum("kij,kij->ki", c.real, c.real)
+                + np.einsum("kij,kij->ki", c.imag, c.imag)
+            )
+            ynorm = np.linalg.norm(y, axis=1)[:, None]
+            np.divide(vals, row_norms * ynorm, out=out[lo:lo + len(w)], where=ynorm != 0.0)
+        return out
 
 
 def consistency_check(mode: ModeLabel, omegas) -> list[dict]:

@@ -10,8 +10,8 @@ endpoint from a chosen exponent.
 :func:`integrate` is an adaptive embedded Runge-Kutta pair of orders
 5(4) (Dormand-Prince coefficients) with PI step-size control and a
 continuous (dense) output on every accepted step.  Constraint residuals
-are recorded along the trace so that drift of the algebraic relations can
-be monitored directly.
+are recorded at every accepted step (computed in one batch once the run
+ends) so that drift of the algebraic relations can be monitored directly.
 """
 
 from __future__ import annotations
@@ -119,13 +119,16 @@ class SolutionTrace:
         lo, hi = sorted((self.omegas[0], self.omegas[-1]))
         if not lo <= omega <= hi:
             raise ValueError(f"omega = {omega} outside the integrated range")
-        for (w0, h, cont) in self._dense:
-            t = (omega - w0) / h
-            if -1e-12 <= t <= 1.0 + 1e-12:
-                t = min(max(t, 0.0), 1.0)
-                r1, r2, r3, r4, r5 = cont
-                return r1 + t * (r2 + (1 - t) * (r3 + t * (r4 + (1 - t) * r5)))
-        raise ValueError(f"no dense segment covers omega = {omega}")
+        if not self._dense:
+            raise ValueError(f"no dense segment covers omega = {omega}")
+        # segment i runs from omegas[i] to omegas[i + 1]; a shared end goes
+        # to the earlier segment
+        sign = 1.0 if self.omegas[-1] >= self.omegas[0] else -1.0
+        i = int(np.searchsorted(sign * self.omegas, sign * omega, side="left")) - 1
+        w0, h, cont = self._dense[min(max(i, 0), len(self._dense) - 1)]
+        t = min(max((omega - w0) / h, 0.0), 1.0)
+        r1, r2, r3, r4, r5 = cont
+        return r1 + t * (r2 + (1 - t) * (r3 + t * (r4 + (1 - t) * r5)))
 
 
 def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, atol: float, rtol: float) -> float:
@@ -146,8 +149,9 @@ def integrate(
     """Integrate Y' = A(omega) Y from omega_start to omega_end.
 
     The local error per step is controlled to ``tol`` (used as both the
-    absolute and relative weight).  Constraint residuals are evaluated at
-    every accepted step.  Near a singular endpoint the step size can
+    absolute and relative weight).  Constraint residuals of every accepted
+    step are evaluated in one batch after the loop (also for the partial
+    trace of a failed run).  Near a singular endpoint the step size can
     underflow; that raises :class:`SingularityError` carrying the partial
     trace, while a persistently rejected step raises
     :class:`ToleranceError`.
@@ -169,14 +173,9 @@ def integrate(
     def rhs(w: float, state: np.ndarray) -> np.ndarray:
         return system.matrix(w) @ state
 
-    def resid(w: float, state: np.ndarray) -> np.ndarray:
-        if constraints is None:
-            return np.zeros(4)
-        return constraints.residuals(w, state)
-
     w = float(omega_start)
     k_last = rhs(w, y)
-    omegas, states, residuals, steps, errors = [w], [y.copy()], [resid(w, y)], [0.0], [0.0]
+    omegas, states, steps, errors = [w], [y.copy()], [0.0], [0.0]
     dense: list = []
     err_prev = 1.0
     rejected_in_a_row = 0
@@ -185,7 +184,7 @@ def integrate(
         if direction * (omega_end - w) <= 0:
             break
         if abs(h) < h_min:
-            trace = _finalize(omegas, states, residuals, steps, errors, dense)
+            trace = _finalize(constraints, omegas, states, steps, errors, dense)
             raise SingularityError(
                 f"step size underflow at omega = {w:.6g} (h = {abs(h):.3e})", trace
             )
@@ -217,7 +216,6 @@ def integrate(
             k_last = k[6]
             omegas.append(w)
             states.append(y.copy())
-            residuals.append(resid(w, y))
             steps.append(h)
             errors.append(err)
             fac = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0 else 5.0
@@ -235,14 +233,19 @@ def integrate(
     else:
         raise ToleranceError(f"exceeded {max_steps} steps before reaching omega_end")
 
-    return _finalize(omegas, states, residuals, steps, errors, dense)
+    return _finalize(constraints, omegas, states, steps, errors, dense)
 
 
-def _finalize(omegas, states, residuals, steps, errors, dense) -> SolutionTrace:
+def _finalize(constraints, omegas, states, steps, errors, dense) -> SolutionTrace:
+    omegas, states = np.array(omegas), np.array(states)
+    if constraints is None:
+        residuals = np.zeros((len(omegas), 4))
+    else:
+        residuals = constraints.residuals_many(omegas, states)
     return SolutionTrace(
-        omegas=np.array(omegas),
-        states=np.array(states),
-        residuals=np.array(residuals),
+        omegas=omegas,
+        states=states,
+        residuals=residuals,
         steps=np.array(steps),
         errors=np.array(errors),
         _dense=dense,

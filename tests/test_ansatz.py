@@ -22,6 +22,9 @@ def test_mode_label_validation():
         ModeLabel(j=0.5, m_j=1.5)
     with pytest.raises(ValueError):
         ModeLabel(j=0.5, m_j=0.5, delta=2)
+    for bad in ({"eps": complex("nan")}, {"eps": 1j * np.inf}, {"mass": np.inf}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ModeLabel(j=0.5, m_j=0.5, **bad)
 
 
 def test_assemble_zero_state():

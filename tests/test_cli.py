@@ -160,3 +160,58 @@ def test_outdir_from_environment(tmp_path):
     code = run(["verify", "wigner", "--j", "1/2"], RSDESITTER_OUTDIR=str(tmp_path))
     assert code == 0
     assert (tmp_path / "verify_wigner.manifest.json").exists()
+
+
+def test_non_finite_energy_or_mass_is_a_usage_error(tmp_path, capsys):
+    base = ["integrate", "--j", "1/2", "--delta", "+1", "--from", "0.3", "--to", "1.0",
+            "--out", str(tmp_path)]
+    for flag, value in (("--eps", "nan"), ("--eps", "1+infj"), ("--mass", "inf")):
+        assert run(base + [flag, value]) == cli.USAGE_ERROR
+        assert flag.lstrip("-") in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_sweep_with_a_bad_entry_writes_nothing(tmp_path, capsys):
+    code = run(
+        ["sweep", "--j", "1/2,2", "--from", "0.3", "--to", "1.0", "--workers", "1",
+         "--out", str(tmp_path)]
+    )
+    assert code == cli.USAGE_ERROR
+    assert "j must be" in capsys.readouterr().err
+    empty = ["sweep", "--j", ",", "--from", "0.3", "--to", "1.0", "--out", str(tmp_path)]
+    assert run(empty) == cli.USAGE_ERROR
+    assert "no jobs" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_sweep_workers_validated_and_capped(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    base = ["sweep", "--j", "1/2", "--from", "0.5", "--to", "0.7", "--tol", "1e-6"]
+    assert run(base + ["--workers", "0", "--out", str(tmp_path / "zero")]) == cli.USAGE_ERROR
+    cases = (("1", "0.0", 1), ("64", "0.0", 2), ("64", "0.0,0.5", 3), ("2", "0.0,0.5", 2))
+    for workers, masses, _ in cases:
+        out = tmp_path / f"w{workers}_{len(masses)}"
+        code = run(base + ["--workers", workers, "--mass-list", masses, "--out", str(out)])
+        assert code == 0
+    # zero workers never reached the pool; jobs = 2 per mass (both deltas)
+    assert _RecordingPool.sizes == [expected for _, _, expected in cases]

@@ -243,3 +243,148 @@ def test_radial_system_domain_errors():
         radial.RadialSystem(mode=_mode(delta=None), dimension=8)
     with pytest.raises(ValueError):
         radial.parity_embed(0)
+
+
+# ---------------------------------------------------------------------------
+# the cached coefficient stacks against the per-table formulas
+# ---------------------------------------------------------------------------
+
+_SIGN16 = np.array([1] * 4 + [-1] * 4 + [-1] * 4 + [1] * 4)
+_SIGN8 = np.array([1] * 4 + [-1] * 4)
+
+
+def _per_table(tables, scalars, sign):
+    """Row sum i s_k (E M_E + i T M_T + i/sin M_S + i/tan M_iT + m M_m), table by table."""
+    me, mt, ms, mit, mm = tables
+    e, t, inv_s, inv_t, m = scalars
+    r = e * me + 1j * t * mt + 1j * inv_s * ms + 1j * inv_t * mit + m * mm
+    return (1j * sign)[:, None] * r
+
+
+def _scalar_weights(eps, mass, omega):
+    s, c, t = np.sin(omega), np.cos(omega), np.tan(omega)
+    values = (eps / c, t, 1.0 / s, 1.0 / t, mass)
+    derivatives = (eps * t / c, 1.0 / c**2, -c / s**2, -1.0 / s**2, 0.0)
+    return values, derivatives
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+_STACK_CASES = [
+    (j, delta, omega, eps, mass)
+    for j in (0.5, 1.5, 2.5)
+    for delta in (1, -1)
+    for omega, eps, mass in ((0.07, 1.3 + 0.2j, 0.7), (0.8, -2.1, 0.0), (1.5, 0.4, 2.6))
+]
+
+
+@pytest.mark.parametrize("j, delta, omega, eps, mass", _STACK_CASES)
+def test_stack_products_match_per_table_formula(j, delta, omega, eps, mass):
+    mode = _mode(j=j, eps=eps, mass=mass, delta=delta)
+    t16 = radial._coefficient_tables_16(mode.two_j)
+    t8 = [t[:8] @ radial.parity_embed(delta) for t in t16]
+    values, derivatives = _scalar_weights(eps, mass, omega)
+    assert _rel(radial.build_A16(mode, omega), _per_table(t16, values, _SIGN16)) <= 1e-15
+    assert _rel(radial.build_A8(mode, omega), _per_table(t8, values, _SIGN8)) <= 1e-15
+    assert _rel(radial.build_dA8(mode, omega), _per_table(t8, derivatives, _SIGN8)) <= 1e-15
+    for dim, tables, sign in ((8, t8, _SIGN8), (16, t16, _SIGN16)):
+        origin, horizon = radial.singular_residues(mode, dim)
+        assert _rel(origin, _per_table(tables, (0, 0, 1, 1, 0), sign)) <= 1e-15
+        assert _rel(horizon, _per_table(tables, (-eps, -1, 0, 0, 0), sign)) <= 1e-15
+
+
+def _divergence_rows(mode, scalars):
+    """Non-derivative parts of the divergence rows, entry by entry."""
+    co = mode.coefficients()
+    a, b = co.a, co.b
+    e, t, inv_s, inv_t, _ = scalars
+    slope = inv_t - t / 2.0
+    l1 = np.zeros(8, dtype=complex)
+    l1[0] = -1j * e - t / 2.0
+    l1[2] = -slope
+    l1[5] = -inv_t / np.sqrt(2.0)
+    l1[1] = -b * inv_s / np.sqrt(2.0)
+    l1[3] = -a * inv_s / np.sqrt(2.0)
+    l2 = np.zeros(8, dtype=complex)
+    l2[4] = -1j * e + t / 2.0
+    l2[6] = -slope
+    l2[3] = -inv_t / np.sqrt(2.0)
+    l2[5] = -a * inv_s / np.sqrt(2.0)
+    l2[7] = -b * inv_s / np.sqrt(2.0)
+    return l1, l2
+
+
+@pytest.mark.parametrize("j, delta, omega, eps, mass", _STACK_CASES)
+def test_constraint_stack_matches_row_formula(j, delta, omega, eps, mass):
+    mode = _mode(j=j, eps=eps, mass=mass, delta=delta)
+    values, derivatives = _scalar_weights(eps, mass, omega)
+    r2 = 1.0 / np.sqrt(2.0)
+    expected = np.zeros((4, 8), dtype=complex)
+    expected[0, [5, 0, 2]] = (1.0, -r2, -r2)
+    expected[1, [3, 6, 4]] = (1.0, -r2, r2)
+    a8 = radial.build_A8(mode, omega)
+    l1, l2 = _divergence_rows(mode, values)
+    expected[2], expected[3] = l1 - a8[2], l2 - a8[6]
+    assert _rel(radial.constraint_matrix(mode, omega), expected) <= 1e-15
+
+    expected_d = np.zeros((4, 8), dtype=complex)
+    da8 = radial.build_dA8(mode, omega)
+    dl1, dl2 = _divergence_rows(mode, derivatives)
+    expected_d[2], expected_d[3] = dl1 - da8[2], dl2 - da8[6]
+    assert _rel(radial.constraint_matrix_derivative(mode, omega), expected_d) <= 1e-15
+
+
+def test_residuals_many_matches_pointwise():
+    rng = np.random.default_rng(21)
+    for j in (0.5, 1.5, 2.5):
+        for delta in (1, -1):
+            cons = radial.ConstraintSet(mode=_mode(j=j, eps=1.3 + 0.1j, mass=0.7, delta=delta))
+            omegas = rng.uniform(0.02, 1.55, 300)  # more than one block
+            states = rng.standard_normal((300, 8)) + 1j * rng.standard_normal((300, 8))
+            for k in range(20):  # on the constraint surface: residuals from cancellation
+                _, _, vh = np.linalg.svd(cons.matrix(omegas[k]))
+                null = vh[4:].conj().T
+                states[k] = null @ (null.conj().T @ states[k])
+            states[-1] = 0.0
+            batch = cons.residuals_many(omegas, states)
+            pointwise = np.array([cons.residuals(w, y) for w, y in zip(omegas, states)])
+            assert batch.shape == (300, 4)
+            assert np.abs(batch - pointwise).max() <= 1e-15
+            assert np.abs(batch[-1]).max() == 0.0
+    with pytest.raises(ValueError):
+        cons.residuals_many([0.3, 1.6], np.ones((2, 8)))
+
+
+def test_returned_matrices_are_fresh_copies():
+    mode = _mode(j=1.5, delta=-1)
+    calls = (
+        lambda: radial.build_A8(mode, 0.6),
+        lambda: radial.build_A16(mode, 0.6),
+        lambda: radial.build_dA8(mode, 0.6),
+        lambda: radial.constraint_matrix(mode, 0.6),
+        lambda: radial.constraint_matrix_derivative(mode, 0.6),
+        lambda: radial.singular_residues(mode)[1],
+    )
+    for call in calls:
+        first = call()
+        kept = first.copy()
+        first[...] = 99.0
+        assert np.array_equal(call(), kept)
+    with pytest.raises(ValueError):
+        radial._system_stack(mode.two_j, mode.delta, 8)[0, 0] = 1.0
+
+
+def test_table_cache_is_bounded_by_j_and_delta():
+    radial._system_stack.cache_clear()
+    radial._constraint_stack.cache_clear()
+    rng = np.random.default_rng(4)
+    for eps, mass in zip(rng.uniform(-3, 3, 200), rng.uniform(0, 3, 200)):
+        for j in (0.5, 1.5, 2.5):
+            for delta in (1, -1):
+                mode = _mode(j=j, eps=eps, mass=mass, delta=delta)
+                radial.build_A8(mode, 0.9)
+                radial.constraint_matrix(mode, 0.9)
+    assert radial._system_stack.cache_info().currsize <= 6
+    assert radial._constraint_stack.cache_info().currsize <= 6

@@ -191,3 +191,42 @@ def test_integrate_validation():
         solver.integrate(system, None, 0.3, 1.0, np.ones(4, dtype=complex))
     with pytest.raises(ValueError):
         solver.frobenius(system, "middle")
+
+
+def _scan_evaluate(trace, omega):
+    """Dense output by a linear scan: the first segment covering omega."""
+    for w0, h, cont in trace._dense:
+        t = (omega - w0) / h
+        if -1e-12 <= t <= 1.0 + 1e-12:
+            t = min(max(t, 0.0), 1.0)
+            r1, r2, r3, r4, r5 = cont
+            return r1 + t * (r2 + (1 - t) * (r3 + t * (r4 + (1 - t) * r5)))
+    raise AssertionError("no segment covers omega")
+
+
+def test_evaluate_bisection_matches_linear_scan():
+    system, _ = _system(j=1.5)
+    rng = np.random.default_rng(12)
+    y0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    for start, end in ((0.3, 1.2), (1.4, 0.2)):  # outward, then inward
+        trace = solver.integrate(system, None, start, end, y0, tol=1e-9)
+        mids = 0.5 * (trace.omegas[1:] + trace.omegas[:-1])
+        inner = rng.uniform(min(start, end), max(start, end), 50)
+        for omega in np.concatenate([trace.omegas, mids, inner]):
+            assert np.array_equal(trace.evaluate(omega), _scan_evaluate(trace, omega))
+
+
+def test_trace_residuals_match_pointwise_on_success_and_failure():
+    system, cons = _system()
+    rng = np.random.default_rng(3)
+    y0 = solver.constraint_kernel_state(
+        cons, 1.3, rng.standard_normal(8) + 1j * rng.standard_normal(8), zero_slots=(1, 7)
+    )
+    with pytest.raises(solver.SingularityError) as info:
+        solver.integrate(system, cons, 1.3, np.pi / 2 - 1e-13, y0, tol=1e-8)
+    partial = info.value.trace
+    done = solver.integrate(system, cons, 0.3, 1.2, y0, tol=1e-8)
+    for trace in (partial, done):
+        pointwise = [cons.residuals(w, y) for w, y in zip(trace.omegas, trace.states)]
+        assert trace.residuals.shape == (len(trace.omegas), 4)
+        assert np.abs(trace.residuals - np.array(pointwise)).max() <= 1e-15
