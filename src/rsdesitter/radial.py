@@ -14,9 +14,9 @@ closed-form residues.
 The constant matrices depend on j (and delta) alone, so they are built
 once per (j, delta, dimension) into a read-only (5, n*n) stack held in a
 bounded cache; the coefficient matrix, its omega-derivative, the endpoint
-residues and the divergence constraint rows are all products of five
-scalar weights with such a stack, and many omegas take one (k, 5) @ (5, .)
-product.
+residues and subleading terms, and the divergence constraint rows are all
+products of five scalar weights with such a stack, and many omegas take
+one (k, 5) @ (5, .) product.
 
 Diagonalizing spatial inversion halves the system: amplitudes (h, nu) are
 tied to (g, f) by the sign delta, and the reduced 8x8 generator equals the
@@ -216,6 +216,34 @@ def amplitude_parity_matrix() -> np.ndarray:
     return m
 
 
+def endpoint_laurent(mode: ModeLabel, endpoint: str, dimension: int = 8):
+    """Closed-form residue and subleading (constant) term of A at an endpoint.
+
+    A(w0 + d u) = residue / (d u) + subleading + O(u), with d = +1 at the
+    origin and -1 at the horizon (Coddington & Levinson, ch. 4).  Both are
+    fixed weights of (E, T, 1/sin, 1/tan, m) on the stack, read off from
+
+        origin:   E = eps + O(u^2),  T = O(u),  1/sin, 1/tan = 1/u + O(u);
+        horizon:  E = eps/u + O(u),  T = 1/u + O(u),  1/sin = 1 + O(u^2),
+                  1/tan = O(u).
+    """
+    eps, m = mode.eps, float(mode.mass)
+    weights = {
+        "origin": ((0.0, 0.0, 1.0, 1.0, 0.0), (eps, 0.0, 0.0, 0.0, m)),
+        "horizon": ((-eps, -1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0, m)),
+    }
+    if endpoint not in weights:
+        raise ValueError(f"endpoint must be 'origin' or 'horizon', got {endpoint!r}")
+    if dimension == 8:
+        stack = _system_stack(mode.two_j, _reduced_delta(mode), 8)
+    elif dimension == 16:
+        stack = _system_stack(mode.two_j, None, 16)
+    else:
+        raise ValueError("dimension must be 8 or 16")
+    residue, constant = weights[endpoint]
+    return _weighted(residue, stack, dimension), _weighted(constant, stack, dimension)
+
+
 def singular_residues(mode: ModeLabel, dimension: int = 8):
     """Closed-form residues lim (omega - w0) A(omega) at both endpoints.
 
@@ -223,15 +251,7 @@ def singular_residues(mode: ModeLabel, dimension: int = 8):
     couplings survive; at the horizon the energy and tan terms contribute
     -eps and -1 weights.
     """
-    if dimension == 8:
-        stack = _system_stack(mode.two_j, _reduced_delta(mode), 8)
-    elif dimension == 16:
-        stack = _system_stack(mode.two_j, None, 16)
-    else:
-        raise ValueError("dimension must be 8 or 16")
-    origin = _weighted((0.0, 0.0, 1.0, 1.0, 0.0), stack, dimension)
-    horizon = _weighted((-mode.eps, -1.0, 0.0, 0.0, 0.0), stack, dimension)
-    return origin, horizon
+    return tuple(endpoint_laurent(mode, e, dimension)[0] for e in ("origin", "horizon"))
 
 
 @dataclass(frozen=True)
@@ -256,13 +276,12 @@ class RadialSystem:
             return build_A8(self.mode, omega)
         return build_A16(self.mode, omega)
 
+    def laurent(self, endpoint: str) -> tuple[np.ndarray, np.ndarray]:
+        """(residue, subleading) of A at ``endpoint``; see :func:`endpoint_laurent`."""
+        return endpoint_laurent(self.mode, endpoint, self.dimension)
+
     def residue(self, endpoint: str) -> np.ndarray:
-        origin, horizon = singular_residues(self.mode, self.dimension)
-        if endpoint == "origin":
-            return origin
-        if endpoint == "horizon":
-            return horizon
-        raise ValueError(f"endpoint must be 'origin' or 'horizon', got {endpoint!r}")
+        return self.laurent(endpoint)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +296,10 @@ _TRACE_ROWS[1, 3] = 1.0
 _TRACE_ROWS[1, 6] = -1.0 / _S2
 _TRACE_ROWS[1, 4] = 1.0 / _S2
 _TRACE_ROWS.flags.writeable = False
+# singular values of the constraint rows below this fraction of the largest
+# count as zero; s4/s1 >= 2.5e-5 for j <= 15/2, both deltas, eps in
+# {0, 1.3, 5+0.5i}, mass in {0, 0.7, -2} and omega in [0.01, 1.56]
+_RANK_RTOL = 1e-10
 # points per block in ConstraintSet.residuals_many
 _RESIDUAL_BLOCK = 128
 
@@ -348,6 +371,11 @@ def constraint_matrix_printed_variant(mode: ModeLabel, omega: float) -> np.ndarr
     return c
 
 
+def constraint_rank(svals: np.ndarray) -> int:
+    """Numerical rank of constraint rows from their descending singular values."""
+    return int((svals > _RANK_RTOL * svals[0]).sum())
+
+
 @dataclass(frozen=True)
 class ConstraintSet:
     """Constraint rows C(omega) attached to a reduced radial system."""
@@ -417,7 +445,7 @@ def consistency_check(mode: ModeLabel, omegas) -> list[dict]:
                 "omega": float(omega),
                 "residual": resid,
                 "relative_residual": resid / scale,
-                "constraint_rank": int((svals > 1e-10 * svals[0]).sum()),
+                "constraint_rank": constraint_rank(svals),
                 "lambda": lam,
             }
         )

@@ -1,9 +1,9 @@
 """Numerical integration of the radial system with singular-endpoint tools.
 
 Both endpoints of the radial interval (0, pi/2) are regular singular
-points: the coefficient matrix has a simple pole with closed-form residue.
-:func:`frobenius` recovers the residue by Richardson extrapolation and
-returns its eigen-structure (the local power-law exponents), and
+points: the coefficient matrix has a simple pole with closed-form residue
+and constant term.  :func:`frobenius` takes both from the radial system and
+returns the residue's eigen-structure (the local power-law exponents), and
 :func:`endpoint_launch` builds first-order-accurate solution data near an
 endpoint from a chosen exponent.
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .radial import ConstraintSet, RadialSystem
+from .radial import ConstraintSet, RadialSystem, constraint_rank
 
 _HALF_PI = 0.5 * np.pi
 
@@ -256,46 +256,15 @@ def _finalize(constraints, omegas, states, steps, errors, dense) -> SolutionTrac
 # singular endpoints
 # ---------------------------------------------------------------------------
 
-def frobenius(
-    system: RadialSystem,
-    endpoint: str,
-    base: float = 2e-2,
-    levels: int = 8,
-    tol: float = 1e-8,
-) -> IndicialData:
+def frobenius(system: RadialSystem, endpoint: str) -> IndicialData:
     """Residue matrix and indicial exponents of a singular endpoint.
 
     The residue lim (omega - w0) A(omega) and the subleading constant term
-    are obtained by Richardson extrapolation on a geometric sequence of
-    offsets; failure to converge below ``tol`` raises ArithmeticError.
-    Exponents come sorted by descending real part, with eigenvectors as
-    matching columns of ``vectors``.
+    are the closed forms of :meth:`RadialSystem.laurent`.  Exponents come
+    sorted by descending real part, with eigenvectors as matching columns
+    of ``vectors``.
     """
-    if endpoint == "origin":
-        w0, d = 0.0, 1
-    elif endpoint == "horizon":
-        w0, d = _HALF_PI, -1
-    else:
-        raise ValueError(f"endpoint must be 'origin' or 'horizon', got {endpoint!r}")
-
-    def g(u: float) -> np.ndarray:
-        return d * u * system.matrix(w0 + d * u)
-
-    residue, conv = _richardson(g, base, levels)
-    if conv > tol:
-        raise ArithmeticError(
-            f"residue extrapolation did not converge: residual {conv:.3e}"
-        )
-
-    def h_fun(u: float) -> np.ndarray:
-        return system.matrix(w0 + d * u) - residue / (d * u)
-
-    subleading, conv2 = _richardson(h_fun, base, levels)
-    if conv2 > max(tol, 1e-7):
-        raise ArithmeticError(
-            f"subleading extrapolation did not converge: residual {conv2:.3e}"
-        )
-
+    residue, subleading = system.laurent(endpoint)
     lam, vec = np.linalg.eig(residue)
     order = np.lexsort((-lam.imag, -lam.real))
     lam, vec = lam[order], vec[:, order]
@@ -304,31 +273,13 @@ def frobenius(
     )
     return IndicialData(
         endpoint=endpoint,
-        direction=d,
+        direction=1 if endpoint == "origin" else -1,
         residue=residue,
         subleading=subleading,
         exponents=lam,
         vectors=vec,
         eigen_residuals=eig_res,
     )
-
-
-def _richardson(fun, base: float, levels: int) -> tuple[np.ndarray, float]:
-    """Richardson table for fun(u) = F + c1 u + c2 u^2 + ... as u -> 0."""
-    table = [np.asarray(fun(base / 2**k), dtype=complex) for k in range(levels)]
-    best = table[-1]
-    conv = np.inf
-    for m in range(1, levels):
-        fac = 2.0**m
-        table = [
-            (fac * table[k + 1] - table[k]) / (fac - 1.0)
-            for k in range(len(table) - 1)
-        ]
-        conv = float(np.abs(table[-1] - best).max())
-        best = table[-1]
-        if len(table) < 2:
-            break
-    return best, conv
 
 
 @dataclass(frozen=True)
@@ -390,7 +341,7 @@ def constraint_kernel_state(
     y[list(zero_slots)] = 0.0
     # null-space projector from the SVD
     _, s, vh = np.linalg.svd(c)
-    rank = int((s > 1e-12 * s[0]).sum())
+    rank = constraint_rank(s)
     null = vh[rank:].conj().T
     y = null @ (null.conj().T @ y)
     y[list(zero_slots)] = 0.0

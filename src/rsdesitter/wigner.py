@@ -76,11 +76,12 @@ def ladder_coefficients(j, sigma) -> tuple[float, float]:
     return float(np.sqrt(max(low, 0.0))), float(np.sqrt(max(high, 0.0)))
 
 
-def wigner_d(j, mp, m, theta):
-    """Small Wigner function d^j_{mp, m}(theta) from the factorial sum.
+def _factorial_sum(j, mp, m, theta, deriv: bool):
+    """d^j_{mp, m}(theta), or its termwise theta-derivative when ``deriv``.
 
-    ``theta`` may be a scalar or an ndarray.  Labels may be any
-    (half-)integers with |mp|, |m| <= j and j - mp, j - m integral.
+    Each term of the sum is c^p s^q with c = cos(theta/2), s = sin(theta/2);
+    the derivative path differentiates the powers, the value path never
+    forms the derivative terms.
     """
     two_j = _doubled(j, "j")
     two_mp = _doubled(mp, "mp")
@@ -109,36 +110,11 @@ def wigner_d(j, mp, m, theta):
             factorial(jm - k) * factorial(k) * factorial(jmmp - k) * factorial(dm + k)
         )
         sign = -1.0 if (dm + k) % 2 else 1.0
-        total = total + (sign / denom) * c ** (jm + jmmp - 2 * k) * s ** (dm + 2 * k)
-    out = pref * total
-    return out if out.ndim else float(out)
-
-
-def wigner_d_dtheta(j, mp, m, theta):
-    """Analytic theta-derivative of the small d-function (termwise)."""
-    two_j = _doubled(j, "j")
-    two_mp = _doubled(mp, "mp")
-    two_m = _doubled(m, "m")
-    jm = (two_j + two_m) // 2
-    jmm = (two_j - two_m) // 2
-    jmp = (two_j + two_mp) // 2
-    jmmp = (two_j - two_mp) // 2
-    dm = (two_mp - two_m) // 2
-
-    pref = np.sqrt(
-        float(factorial(jmp)) * factorial(jmmp) * factorial(jm) * factorial(jmm)
-    )
-    c = np.cos(np.asarray(theta) / 2.0)
-    s = np.sin(np.asarray(theta) / 2.0)
-
-    total = np.zeros_like(np.asarray(theta, dtype=float))
-    for k in range(max(0, -dm), min(jm, jmmp) + 1):
-        denom = (
-            factorial(jm - k) * factorial(k) * factorial(jmmp - k) * factorial(dm + k)
-        )
-        sign = -1.0 if (dm + k) % 2 else 1.0
         p = jm + jmmp - 2 * k  # power of cos(theta/2)
         q = dm + 2 * k  # power of sin(theta/2)
+        if not deriv:
+            total = total + (sign / denom) * c**p * s**q
+            continue
         term = np.zeros_like(total)
         if q > 0:
             term = term + 0.5 * q * c ** (p + 1) * s ** (q - 1)
@@ -147,6 +123,23 @@ def wigner_d_dtheta(j, mp, m, theta):
         total = total + (sign / denom) * term
     out = pref * total
     return out if out.ndim else float(out)
+
+
+def wigner_d(j, mp, m, theta):
+    """Small Wigner function d^j_{mp, m}(theta) from the factorial sum.
+
+    ``theta`` may be a scalar or an ndarray.  Labels may be any
+    (half-)integers with |mp|, |m| <= j and j - mp, j - m integral.
+    """
+    return _factorial_sum(j, mp, m, theta, deriv=False)
+
+
+def wigner_d_dtheta(j, mp, m, theta):
+    """Analytic theta-derivative of the small d-function (termwise).
+
+    Takes the labels of :func:`wigner_d` and rejects the same invalid ones.
+    """
+    return _factorial_sum(j, mp, m, theta, deriv=True)
 
 
 def wigner_D(j, m, sigma, theta, phi):

@@ -77,6 +77,14 @@ def test_indices_command(tmp_path):
     payload = json.loads((tmp_path / "indices.json").read_text())
     assert set(payload) == {"origin", "horizon"}
     assert len(payload["origin"]["exponents"]) == 8
+    checks = json.loads((tmp_path / "indices.manifest.json").read_text())["checks"]
+    assert [c["name"] for c in checks] == [
+        "origin-laurent-remainder", "origin-eigen-residual",
+        "horizon-laurent-remainder", "horizon-eigen-residual",
+    ]
+    assert all(c["pass"] for c in checks)
+    # the remainder is O(u^2) at u = 1e-5, far above rounding and below the bound
+    assert all(0.0 < c["residual"] < 1e-9 for c in checks[::2])
 
 
 def test_integrate_deterministic_and_hashed(tmp_path):
@@ -109,6 +117,21 @@ def test_integrate_incompatible_launch_warns(tmp_path):
     rows = (tmp_path / "integrate.csv").read_text().strip().splitlines()[1:]
     last = [float(x) for x in rows[-1].split(",")]
     assert max(last[-4:]) > 1e-6
+
+
+def test_integrate_failure_writes_only_the_manifest(tmp_path):
+    code = run(
+        ["integrate", "--j", "1/2", "--delta", "+1", "--eps", "1.3", "--mass", "0.7",
+         "--from", "1.3", "--to", "1.5707963267948", "--tol", "1e-8",
+         "--out", str(tmp_path)]
+    )
+    assert code == cli.NUMERICAL_ERROR
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["integrate.manifest.json"]
+    manifest = json.loads((tmp_path / "integrate.manifest.json").read_text())
+    assert manifest["status"] == "numerical-failure"
+    assert manifest["outputs"] == []
+    assert len(manifest["warnings"]) == 1
+    assert manifest["warnings"][0].startswith("integration failed: step size underflow")
 
 
 def test_manifest_lists_every_output_once(tmp_path):

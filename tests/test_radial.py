@@ -293,6 +293,10 @@ def test_stack_products_match_per_table_formula(j, delta, omega, eps, mass):
         origin, horizon = radial.singular_residues(mode, dim)
         assert _rel(origin, _per_table(tables, (0, 0, 1, 1, 0), sign)) <= 1e-15
         assert _rel(horizon, _per_table(tables, (-eps, -1, 0, 0, 0), sign)) <= 1e-15
+        constants = {"origin": (eps, 0, 0, 0, mass), "horizon": (0, 0, 1, 0, mass)}
+        for endpoint, constant in constants.items():
+            subleading = radial.endpoint_laurent(mode, endpoint, dim)[1]
+            assert _rel(subleading, _per_table(tables, constant, sign)) <= 1e-15
 
 
 def _divergence_rows(mode, scalars):

@@ -10,14 +10,43 @@ def _system(j=0.5, eps=1.3, mass=0.7, delta=1):
     return radial.RadialSystem(mode=mode, dimension=8), radial.ConstraintSet(mode=mode)
 
 
-def test_frobenius_residues_match_closed_forms():
+def test_frobenius_takes_the_closed_forms():
     system, _ = _system()
     for endpoint in ("origin", "horizon"):
         data = solver.frobenius(system, endpoint)
-        assert np.abs(data.residue - system.residue(endpoint)).max() < 1e-10
+        assert np.array_equal(data.residue, system.residue(endpoint))
+        assert np.array_equal(data.subleading, system.laurent(endpoint)[1])
         assert data.eigen_residuals.max() < 1e-10
         # exponents sorted by descending real part
         assert np.all(np.diff(data.exponents.real) < 1e-12)
+
+
+def _richardson(fun, base=2e-2, levels=8):
+    """Richardson table for fun(u) = F + c1 u + c2 u^2 + ... as u -> 0."""
+    table = [np.asarray(fun(base / 2**k), dtype=complex) for k in range(levels)]
+    for m in range(1, levels):
+        fac = 2.0**m
+        table = [(fac * table[k + 1] - table[k]) / (fac - 1.0) for k in range(len(table) - 1)]
+    return table[0]
+
+
+def test_frobenius_residues_match_closed_forms():
+    # the closed forms against Richardson extrapolation of d u A(w0 + d u)
+    # and of A(w0 + d u) - residue / (d u), which never use the weight table
+    for j in (0.5, 1.5, 2.5, 3.5):
+        for delta, dim in ((1, 8), (-1, 8), (1, 16)):
+            mode = ModeLabel(j=j, m_j=0.5, eps=1.3 + 0.4j, mass=0.7, delta=delta)
+            system = radial.RadialSystem(mode=mode, dimension=dim)
+            for endpoint, w0, d in (("origin", 0.0, 1), ("horizon", np.pi / 2, -1)):
+                data = solver.frobenius(system, endpoint)
+                residue = _richardson(lambda u: d * u * system.matrix(w0 + d * u))
+                subleading = _richardson(
+                    lambda u: system.matrix(w0 + d * u) - residue / (d * u)
+                )
+                case = (j, delta, dim, endpoint)
+                assert np.abs(data.residue - residue).max() <= 1e-10, case
+                rel = np.abs(data.subleading - subleading).max() / np.abs(subleading).max()
+                assert rel <= 1e-6, (case, rel)
 
 
 def test_origin_exponents_minimal_j():

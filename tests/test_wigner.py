@@ -108,6 +108,16 @@ def test_invalid_labels_rejected():
         wigner.recurrence_residuals(1.5, 0.5, np.array([0.0, 0.5]))  # grid pole
 
 
+@pytest.mark.parametrize(
+    "j, mp, m",
+    [(0.7, 0.5, 0.5), (0.5, 1.5, 0.5), (1.5, 0.5, 1.0), (1.5, -2.5, 0.5), (-0.5, 0.5, 0.5)],
+)
+def test_value_and_derivative_reject_the_same_labels(j, mp, m):
+    for fun in (wigner.wigner_d, wigner.wigner_d_dtheta):
+        with pytest.raises(ValueError):
+            fun(j, mp, m, 0.3)
+
+
 def test_derivative_matches_finite_difference():
     rng = np.random.default_rng(8)
     h = 1e-6
