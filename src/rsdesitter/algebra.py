@@ -229,13 +229,6 @@ def spin_matrix(i: int) -> np.ndarray:
     return 0.5 * np.kron(sigma_block, np.eye(4)) + np.kron(np.eye(4), tau)
 
 
-def tilde_spin3() -> np.ndarray:
-    """Diagonal total spin projection in the cyclic basis (16x16)."""
-    sigma3_block = np.kron(_ID2, _PAULI[2])
-    t3 = tilde_spin_matrices()[2]
-    return 0.5 * np.kron(sigma3_block, np.eye(4)) + np.kron(np.eye(4), t3)
-
-
 def _levi_civita(i: int, j: int, k: int) -> int:
     return (i - j) * (j - k) * (k - i) // 2
 

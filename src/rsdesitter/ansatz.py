@@ -26,18 +26,20 @@ corrected form is implemented here and the discrepancy is recorded in
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra, wigner
 from .geometry import RadialPoint, connections, tetrad_divergences
-from .wigner import _doubled, angular_coefficients, wigner_d, wigner_d_dtheta
+from .wigner import _doubled, angular_coefficients, mixed_weight, wigner_d, wigner_d_dtheta
 
 # doubled helicity labels per slot, bispinor-major ordering
-_TWO_SIGMA = np.array(
+SLOT_TWO_SIGMA = np.array(
     [-1, -3, -1, 1, 1, -1, 1, 3, -1, -3, -1, 1, 1, -1, 1, 3], dtype=int
 )
+SLOT_TWO_SIGMA.flags.writeable = False
 
 AMPLITUDE_NAMES = tuple(
     f"{grp}{l}" for grp in ("f", "g", "h", "nu") for l in range(4)
@@ -59,7 +61,7 @@ class ModeLabel:
     delta: int | None = None
 
     def __post_init__(self) -> None:
-        two_j = _doubled(self.j, "j")
+        two_j = self.two_j
         two_m = _doubled(self.m_j, "m_j")
         if two_j <= 0 or two_j % 2 == 0:
             raise ValueError(f"j must be a positive half-odd integer, got {self.j}")
@@ -72,7 +74,7 @@ class ModeLabel:
         if not np.isfinite(self.mass):
             raise ValueError(f"mass must be finite, got {self.mass}")
 
-    @property
+    @functools.cached_property
     def two_j(self) -> int:
         return _doubled(self.j, "j")
 
@@ -82,7 +84,7 @@ class ModeLabel:
 
 def forced_zero_slots(mode: ModeLabel) -> np.ndarray:
     """Amplitude indices whose angular functions do not exist at this j."""
-    return np.nonzero(np.abs(_TWO_SIGMA) > mode.two_j)[0]
+    return np.nonzero(np.abs(SLOT_TWO_SIGMA) > mode.two_j)[0]
 
 
 def validate_state(mode: ModeLabel, state: np.ndarray) -> np.ndarray:
@@ -107,29 +109,52 @@ def random_state(mode: ModeLabel, rng: np.random.Generator) -> np.ndarray:
     return state
 
 
-def _slot_d(mode: ModeLabel, two_sigma: int, theta, phi, deriv: bool = False):
-    """exp(i m phi) d^j_{-m, sigma}(theta) (or its theta derivative)."""
-    j, m = mode.j, mode.m_j
-    small = (wigner_d_dtheta if deriv else wigner_d)(j, -m, two_sigma / 2.0, theta)
-    return np.exp(1j * m * np.asarray(phi)) * small
+def slot_functions(mode: ModeLabel, two_sigmas, theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    """exp(i m phi) d^j_{-m, sigma}(theta) and its theta-derivative per helicity.
+
+    ``two_sigmas`` lists doubled helicities; theta and phi are scalars or
+    arrays of one shape.  Returns (values, dtheta), each of shape
+    (len(two_sigmas),) + that shape, with one :func:`wigner_d` and one
+    :func:`wigner_d_dtheta` call per distinct helicity.  A helicity with
+    |sigma| > j has no function at this j and gives zero rows.
+    """
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    distinct, row = np.unique(np.asarray(two_sigmas, dtype=int), return_inverse=True)
+    phase = np.exp(1j * mode.m_j * phi)
+    table = np.zeros((2, distinct.size) + theta.shape, dtype=complex)
+    for i, two_sigma in enumerate(distinct):
+        if abs(two_sigma) <= mode.two_j:
+            labels = (mode.j, -mode.m_j, two_sigma / 2.0, theta)
+            table[0, i] = phase * wigner_d(*labels)
+            table[1, i] = phase * wigner_d_dtheta(*labels)
+    return table[0, row.ravel()], table[1, row.ravel()]
+
+
+def slot_table(mode: ModeLabel, theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three angular factors of the separated operator on every slot.
+
+    Returns (D, d_theta D, W D) over the sixteen slots, each of shape
+    (16,) + shape of theta, where W = (i d_phi + S~3 cos theta)/sin theta
+    and the diagonal spin projection S~3 is -sigma on each slot, so W is
+    :func:`~rsdesitter.wigner.mixed_weight`.  Forced-zero slots give zero
+    rows.  theta must lie inside (0, pi).
+    """
+    values, dtheta = slot_functions(mode, SLOT_TWO_SIGMA, theta, phi)
+    sigma = (SLOT_TWO_SIGMA / 2.0).reshape((16,) + (1,) * np.ndim(theta))
+    return values, dtheta, mixed_weight(mode.m_j, sigma, theta) * values
 
 
 def assemble(mode: ModeLabel, state: np.ndarray, theta: float, phi: float) -> np.ndarray:
     """Field value Phi(theta, phi): amplitude times slot angular function."""
     state = validate_state(mode, state)
-    out = np.zeros(16, dtype=complex)
-    for k in range(16):
-        if state[k] != 0:
-            out[k] = state[k] * _slot_d(mode, _TWO_SIGMA[k], theta, phi)
-    return out
+    return state * slot_functions(mode, SLOT_TWO_SIGMA, theta, phi)[0]
 
 
 def _assemble_terms(mode, amps_and_sigmas, theta, phi) -> np.ndarray:
     """Sum of (slot, amplitude, two_sigma) contributions as a field vector."""
+    slots, amps, two_sigmas = zip(*amps_and_sigmas)
     out = np.zeros(16, dtype=complex)
-    for slot, amp, two_sigma in amps_and_sigmas:
-        if amp != 0:
-            out[slot] += amp * _slot_d(mode, two_sigma, theta, phi)
+    np.add.at(out, list(slots), np.array(amps) * slot_functions(mode, two_sigmas, theta, phi)[0])
     return out
 
 
@@ -262,29 +287,16 @@ def verify_j03_action(
     return float(np.abs(mat @ xi - expected[:8]).max())
 
 
-def _spin_weight(slot: int) -> float:
-    """Eigenvalue of the diagonal spin projection on a 16-slot."""
-    s, l = divmod(slot, 4)
-    return (0.5 if s in (0, 2) else -0.5) + (0.0, 1.0, 0.0, -1.0)[l]
-
-
 def _angular_action_block(mode, state, theta, phi) -> np.ndarray:
     """Direct action of the angular operator on the assembled xi block.
 
     i sigma_1 d_theta + sigma_2 (i d_phi + S~3 cos theta)/sin theta with
     the derivatives taken analytically on the slot functions.
     """
-    f_th = np.zeros(8, dtype=complex)
-    f_mix = np.zeros(8, dtype=complex)
-    for k in range(8):
-        if state[k] == 0:
-            continue
-        f_th[k] = state[k] * _slot_d(mode, _TWO_SIGMA[k], theta, phi, deriv=True)
-        weight = (-mode.m_j + _spin_weight(k) * np.cos(theta)) / np.sin(theta)
-        f_mix[k] = state[k] * weight * _slot_d(mode, _TWO_SIGMA[k], theta, phi)
+    _, dtheta, mixed = slot_table(mode, theta, phi)
     s1 = np.kron(algebra.pauli(1), np.eye(4))
     s2 = np.kron(algebra.pauli(2), np.eye(4))
-    return 1j * (s1 @ f_th) + s2 @ f_mix
+    return 1j * (s1 @ (state[:8] * dtheta[:8])) + s2 @ (state[:8] * mixed[:8])
 
 
 def verify_angular_operator(mode: ModeLabel, state: np.ndarray, theta: float, phi: float) -> float:
@@ -327,8 +339,8 @@ def verify_radial_derivative(
     direct = 1j * (np.kron(algebra.pauli(3), np.eye(4)) @ field)
     expected = _assemble_terms(
         mode,
-        [(l, 1j * df[l], _TWO_SIGMA[l]) for l in range(4)]
-        + [(4 + l, -1j * dg[l], _TWO_SIGMA[4 + l]) for l in range(4)],
+        [(l, 1j * df[l], SLOT_TWO_SIGMA[l]) for l in range(4)]
+        + [(4 + l, -1j * dg[l], SLOT_TWO_SIGMA[4 + l]) for l in range(4)],
         theta,
         phi,
     )
@@ -459,7 +471,7 @@ def verify_divergence_constraint(
     scalars (companion angles are added) or equal-length sequences.
     """
     state = validate_state(mode, state)
-    dstate = np.asarray(state_deriv, dtype=complex)
+    dstate = validate_state(mode, state_deriv)
     if not 0.0 < omega < 0.5 * np.pi:
         raise ValueError(f"omega must lie in (0, pi/2), got {omega}")
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -478,11 +490,7 @@ def verify_divergence_constraint(
     )
 
     # component sigma pattern of the collapsed constraint
-    two_sigma = (-1, 1, -1, 1)
-    coeffs = np.zeros((4, thetas.size), dtype=complex)
-    for i in range(4):
-        base = np.array([_slot_d(mode, two_sigma[i], th, ph) for th, ph in zip(thetas, phis)])
-        coeffs[i] = values[i] / base
+    coeffs = values / slot_functions(mode, (-1, 1, -1, 1), thetas, phis)[0]
     extracted = coeffs.mean(axis=1)
     collapse = float(np.abs(coeffs - extracted[:, None]).max())
 
@@ -519,16 +527,10 @@ def _divergence_value(
     def cyclic_bispinors(field: np.ndarray) -> list[np.ndarray]:
         return [field[np.array([0, 4, 8, 12]) + k] for k in range(4)]
 
-    field = assemble(mode, state, theta, phi)
-    dfield = assemble(mode, dstate, theta, phi)
-    f_th = np.zeros(16, dtype=complex)
-    for k in range(16):
-        if state[k] != 0:
-            f_th[k] = state[k] * _slot_d(mode, _TWO_SIGMA[k], theta, phi, deriv=True)
-
-    psi = cyclic_bispinors(field)
-    dpsi_w = cyclic_bispinors(dfield)
-    dpsi_th = cyclic_bispinors(f_th)
+    values, dtheta = slot_functions(mode, SLOT_TWO_SIGMA, theta, phi)
+    psi = cyclic_bispinors(state * values)
+    dpsi_w = cyclic_bispinors(dstate * values)
+    dpsi_th = cyclic_bispinors(state * dtheta)
 
     def spherical(psis: list[np.ndarray], l: int) -> np.ndarray:
         return sum(uinv[l, k] * psis[k] for k in range(4))
@@ -569,32 +571,23 @@ def project_to_amplitudes(
 ) -> tuple[np.ndarray, float]:
     """Least-squares projection of sampled field values onto the slots.
 
-    values[k, n] are samples of component k.  Each slot is expanded over
-    every admissible helicity function at this j (|sigma| up to 5/2); the
-    slot's own coefficient is the amplitude and any weight on the other
-    functions is reported as leakage together with the fit residual.
+    values[k, ..., n] are samples of component k at the n angles; any
+    middle axes are independent samples.  Each slot is expanded over every
+    admissible helicity function at this j (|sigma| up to 5/2), all
+    right-hand sides in one least-squares solve.  The slot's own
+    coefficient is the amplitude, of shape values.shape[:-1]; the largest
+    weight on the other functions or fit residual is the leakage.
     """
-    two_sigmas = [ts for ts in range(-5, 6, 2) if abs(ts) <= mode.two_j]
-    basis = np.stack(
-        [
-            np.array([_slot_d(mode, ts, th, ph) for th, ph in zip(thetas, phis)])
-            for ts in two_sigmas
-        ],
-        axis=1,
-    )  # [n_angles, n_sigma]
-    amps = np.zeros(16, dtype=complex)
-    leakage = 0.0
-    for k in range(16):
-        coef = np.linalg.lstsq(basis, values[k], rcond=None)[0]
-        fit_residual = float(np.abs(values[k] - basis @ coef).max())
-        if _TWO_SIGMA[k] in two_sigmas:
-            col = two_sigmas.index(_TWO_SIGMA[k])
-            amps[k] = coef[col]
-            others = np.delete(coef, col)
-        else:
-            others = coef
-        off_slot = float(np.abs(others).max()) if others.size else 0.0
-        leakage = max(leakage, off_slot, fit_residual)
+    values = np.asarray(values, dtype=complex)
+    two_sigmas = np.array([ts for ts in range(-5, 6, 2) if abs(ts) <= mode.two_j])
+    basis = slot_functions(mode, two_sigmas, thetas, phis)[0].T  # [n_angles, n_sigma]
+    rhs = values.reshape(-1, values.shape[-1]).T
+    coef = np.linalg.lstsq(basis, rhs, rcond=None)[0]
+    fit_residual = float(np.abs(rhs - basis @ coef).max())
+    coef = coef.T.reshape(16, -1, two_sigmas.size)
+    own = (SLOT_TWO_SIGMA[:, None] == two_sigmas)[:, None, :]
+    amps = np.where(own, coef, 0.0).sum(axis=-1).reshape(values.shape[:-1])
+    leakage = max(float(np.where(own, 0.0, np.abs(coef)).max()), fit_residual)
     return amps, leakage
 
 

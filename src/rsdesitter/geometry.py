@@ -112,18 +112,16 @@ def connections(
     return (gam_t, gam_r, gam_th, gam_ph), (l_t, l_r, l_th, l_ph)
 
 
-def tetrad_divergences(
-    point: RadialPoint, theta: float, check: bool = False, h: float = 1e-5
-) -> np.ndarray:
+def tetrad_divergences(point: RadialPoint, theta: float) -> np.ndarray:
     """Covariant divergences of the index-raised tetrad vectors e^{(a)alpha}.
 
-    Returns (0, -cot(theta)/r, 0, -sqrt(phi)(2/r + phi'/(2 phi))).  With
-    ``check=True`` the values are cross-checked against the brute-force
-    divergence (1/sqrt|g|) d_alpha (sqrt|g| e^{(a)alpha}).
+    Returns (0, -cot(theta)/r, 0, -sqrt(phi)(2/r + phi'/(2 phi))); the
+    brute-force divergence (1/sqrt|g|) d_alpha (sqrt|g| e^{(a)alpha}) is
+    :func:`tetrad_divergences_fd`.
     """
     _check_theta(theta)
     r, p, sq = point.r, point.phi_metric, point.sqrt_phi
-    closed = np.array(
+    return np.array(
         [
             0.0,
             -1.0 / (r * np.tan(theta)),
@@ -131,14 +129,6 @@ def tetrad_divergences(
             -sq * (2.0 / r + point.phi_prime / (2.0 * p)),
         ]
     )
-    if check:
-        fd = tetrad_divergences_fd(point, theta, h=h)
-        if np.abs(closed - fd).max() > 1e-5:
-            raise ArithmeticError(
-                "closed-form tetrad divergences disagree with the "
-                f"finite-difference oracle by {np.abs(closed - fd).max():.3e}"
-            )
-    return closed
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ansatz
+from . import algebra, ansatz
 from .ansatz import ModeLabel
+from .geometry import RadialPoint
 from .wigner import angular_coefficients
 
 _S2 = np.sqrt(2.0)
@@ -280,9 +281,6 @@ class RadialSystem:
         """(residue, subleading) of A at ``endpoint``; see :func:`endpoint_laurent`."""
         return endpoint_laurent(self.mode, endpoint, self.dimension)
 
-    def residue(self, endpoint: str) -> np.ndarray:
-        return self.laurent(endpoint)[0]
-
 
 # ---------------------------------------------------------------------------
 # constraints
@@ -474,6 +472,11 @@ def expected_lambda_first_rows(mode: ModeLabel, omega: float) -> np.ndarray:
 # extraction of the radial system from the angular reduction
 # ---------------------------------------------------------------------------
 
+# largest projection weight outside the sixteen slot functions that counts
+# as rounding
+_LEAKAGE_TOL = 1e-9
+
+
 def _gamma3_amplitude_map() -> np.ndarray:
     """Amplitude-level action of gamma^3 on assembled states."""
     g3 = np.zeros((16, 16))
@@ -485,30 +488,22 @@ def _gamma3_amplitude_map() -> np.ndarray:
     return g3
 
 
-def assemble_from_angular(
-    mode: ModeLabel,
-    omega: float,
-    n_angles: int = 8,
-    leakage_tol: float = 1e-9,
-) -> np.ndarray:
+def assemble_from_angular(mode: ModeLabel, omega: float) -> np.ndarray:
     """Re-derive the 16x16 coefficient matrix from the separated operator.
 
     Applies the full matrix/differential operator (energy, transverse
-    ladder, boost, angular and mass terms) to each admissible basis state,
-    projects the result back onto the slot functions, and solves for the
-    derivative couplings through the gamma^3 structure of the radial term.
-    Forced-zero columns at low j are left empty: no angular basis function
-    exists to probe them.
+    ladder, boost, angular and mass terms) to every basis state at once,
+    projects the results back onto the slot functions in one solve, and
+    solves for the derivative couplings through the gamma^3 structure of
+    the radial term.  Forced-zero columns at low j are left empty: no
+    angular basis function exists to probe them.
 
-    Raises ArithmeticError if any projection leaks outside the sixteen
-    slot functions beyond ``leakage_tol``.
+    Raises ArithmeticError if the projection leaks outside the sixteen
+    slot functions beyond rounding.
     """
-    from . import algebra
-    from .geometry import RadialPoint
-
     pt = RadialPoint.from_omega(omega)
     r, sq, p = pt.r, pt.sqrt_phi, pt.phi_metric
-    thetas, phis = ansatz.projection_angles(n_angles)
+    thetas, phis = ansatz.projection_angles()
 
     t1, t2, _ = algebra.tilde_spin_matrices()
     g0 = algebra.gamma_matrix(0)
@@ -525,26 +520,13 @@ def assemble_from_angular(
     s1 = np.kron(g1, eye4)
     s2 = np.kron(g2, eye4)
 
-    zero = set(ansatz.forced_zero_slots(mode).tolist())
-    b = np.zeros((16, 16), dtype=complex)
-    for k in range(16):
-        if k in zero:
-            continue
-        basis = np.zeros(16, dtype=complex)
-        basis[k] = 1.0
-        samples = np.zeros((16, len(thetas)), dtype=complex)
-        for n, (th, ph) in enumerate(zip(thetas, phis)):
-            field = ansatz.assemble(mode, basis, th, ph)
-            f_th = np.zeros(16, dtype=complex)
-            f_th[k] = ansatz._slot_d(mode, ansatz._TWO_SIGMA[k], th, ph, deriv=True)
-            weight = (-mode.m_j + ansatz._spin_weight(k) * np.cos(th)) / np.sin(th)
-            f_mix = weight * field
-            samples[:, n] = m_alg @ field + (1.0 / r) * (1j * (s1 @ f_th) + s2 @ f_mix)
-        amps, leak = ansatz.project_to_amplitudes(mode, samples, thetas, phis)
-        if leak > leakage_tol:
-            raise ArithmeticError(
-                f"angular reduction leaked outside the slot functions: {leak:.3e}"
-            )
-        b[:, k] = amps
-
+    # basis state k excites slot k alone, so samples[:, k] is column k of
+    # each operator times that slot's angular factor
+    values, dtheta, mixed = ansatz.slot_table(mode, thetas, phis)
+    samples = m_alg[:, :, None] * values + (1.0 / r) * (
+        1j * s1[:, :, None] * dtheta + s2[:, :, None] * mixed
+    )
+    b, leak = ansatz.project_to_amplitudes(mode, samples, thetas, phis)
+    if leak > _LEAKAGE_TOL:
+        raise ArithmeticError(f"angular reduction leaked outside the slot functions: {leak:.3e}")
     return -1j * _gamma3_amplitude_map() @ b

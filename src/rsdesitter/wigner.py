@@ -155,6 +155,14 @@ def wigner_D(j, m, sigma, theta, phi):
     return np.exp(1j * (two_m / 2.0) * np.asarray(phi)) * wigner_d(j, -m, sigma, theta)
 
 
+def mixed_weight(m, sigma, theta):
+    """(i d_phi - sigma cos theta)/sin theta on exp(i m phi) d^j_{-m, sigma}(theta).
+
+    Equals (-m - sigma cos theta)/sin theta; theta must lie inside (0, pi).
+    """
+    return (-m - sigma * np.cos(theta)) / np.sin(theta)
+
+
 def _theta_relations(j, m):
     """The eight ladder relations at helicities +-1/2, +-3/2 for given (j, m).
 
@@ -212,10 +220,7 @@ def recurrence_residuals(j, m, thetas, fd_step: float = 1e-6):
                 - wigner_d(j, -m, sigma, thetas - fd_step)
             ) / (2.0 * fd_step)
         else:
-            # (i d_phi - sigma cos)/sin applied to D_sigma, with the
-            # exp(i m phi) factor stripped: i d_phi -> -m
-            weight = (-mf - sigma * np.cos(thetas)) / np.sin(thetas)
-            lhs = weight * dval(sigma, thetas)
+            lhs = mixed_weight(mf, sigma, thetas) * dval(sigma, thetas)
             lhs_fd = lhs
         rows.append(
             {

@@ -268,3 +268,23 @@ def test_operator_closure_no_leakage():
             samples[8:, n] = ansatz._angular_action_block(mode, state, th, ph)
         _, leak = ansatz.project_to_amplitudes(mode, samples, thetas, phis)
         assert leak < 1e-9
+
+
+def test_batched_projection_matches_single_columns():
+    rng = np.random.default_rng(8)
+    thetas, phis = ansatz.projection_angles(8)
+    for j in JS:
+        mode = _mode(j)
+        states = np.stack([ansatz.random_state(mode, rng) for _ in range(5)], axis=1)
+        values, _ = ansatz.slot_functions(mode, ansatz.SLOT_TWO_SIGMA, thetas, phis)
+        # (16, K, n): K states sampled, plus noise off the slot functions
+        samples = states[:, :, None] * values[:, None, :]
+        samples += 1e-3 * rng.normal(size=samples.shape)
+        amps, leak = ansatz.project_to_amplitudes(mode, samples, thetas, phis)
+        singles = [
+            ansatz.project_to_amplitudes(mode, samples[:, k], thetas, phis) for k in range(5)
+        ]
+        assert amps.shape == (16, 5)
+        assert np.abs(amps - np.stack([a for a, _ in singles], axis=1)).max() < 1e-13
+        assert abs(leak - max(lk for _, lk in singles)) < 1e-13
+        assert leak > 1e-4

@@ -110,8 +110,6 @@ def test_tetrad_divergences():
     assert abs(div[1] + 1.0 / (pt.r * np.tan(theta))) < 1e-15
     fd = geometry.tetrad_divergences_fd(pt, theta)
     assert np.abs(div - fd).max() < 1e-6
-    # the built-in cross-check path must pass too
-    geometry.tetrad_divergences(pt, theta, check=True)
 
 
 def test_tetrad_divergences_pole_rejected():

@@ -110,12 +110,19 @@ def test_minimal_j_reduces_to_six_equations():
 
 
 def test_angular_extraction_matches_hand_coded():
-    for j in (1.5, 2.5):
-        mode = _mode(j=j)
-        for omega in (0.3, 0.8, 1.3):
-            ext = radial.assemble_from_angular(mode, omega)
-            hand = radial.build_A16(mode, omega)
-            assert np.abs(ext - hand).max() < 1e-10, (j, omega)
+    for j in (1.5, 2.5, 3.5):
+        for m_j in (-0.5, 0.5, j):
+            mode = ModeLabel(j=j, m_j=m_j, eps=1.3, mass=0.7)
+            for omega in (0.3, 0.8, 1.3):
+                ext = radial.assemble_from_angular(mode, omega)
+                hand = radial.build_A16(mode, omega)
+                assert np.abs(ext - hand).max() < 1e-10, (j, m_j, omega)
+
+
+def test_angular_extraction_raises_on_leakage(monkeypatch):
+    monkeypatch.setattr(radial, "_LEAKAGE_TOL", -1.0)
+    with pytest.raises(ArithmeticError, match="leaked"):
+        radial.assemble_from_angular(_mode(), 0.7)
 
 
 def test_angular_extraction_minimal_j():
@@ -124,8 +131,9 @@ def test_angular_extraction_minimal_j():
     hand = radial.build_A16(mode, 0.7)
     admissible = [k for k in range(16) if k not in FORBIDDEN_MIN_J]
     assert np.abs(ext[:, admissible] - hand[:, admissible]).max() < 1e-10
-    # nothing can feed the slots that do not exist at this j
+    # nothing can feed the slots that do not exist at this j, nor probe them
     assert np.abs(ext[np.ix_(FORBIDDEN_MIN_J, admissible)]).max() == 0.0
+    assert np.abs(ext[:, FORBIDDEN_MIN_J]).max() == 0.0
 
 
 def test_angular_extraction_adjudicates_disputed_slots():
