@@ -376,14 +376,25 @@ def _trace_csv(trace: solver.SolutionTrace) -> str:
     for n in names:
         header += [f"re_{n}", f"im_{n}"]
     header += [f"residual_{k}" for k in range(1, 5)]
-    lines = [",".join(header)]
-    for i in range(len(trace.omegas)):
-        row = [_fmt(trace.omegas[i])]
-        for z in trace.states[i]:
-            row += [_fmt(z.real), _fmt(z.imag)]
-        row += [_fmt(r) for r in trace.residuals[i]]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    # one real row per sample: omega, (re, im) of each amplitude, residuals;
+    # "%.17g" % x is format(x, ".17g"), as in _fmt
+    table = np.concatenate(
+        (trace.omegas[:, None], trace.states.view(float), trace.residuals), axis=1
+    )
+    row = ",".join(["%.17g"] * table.shape[1])
+    return "\n".join([",".join(header)] + [row % tuple(r) for r in table.tolist()]) + "\n"
+
+
+def _run_stats(trace: solver.SolutionTrace) -> dict:
+    """Step and evaluation counts of one integration (deterministic, no timings)."""
+    h_min, h_max = trace.step_range
+    return {
+        "accepted_steps": trace.n_steps,
+        "rejected_steps": trace.rejected_steps,
+        "rhs_evals": trace.rhs_evals,
+        "min_step": h_min,
+        "max_step": h_max,
+    }
 
 
 def _integrate_inputs(args) -> tuple[ModeLabel, float, float, float]:
@@ -431,11 +442,14 @@ def run_integrate(args, outdir: str, tag: str = "integrate") -> int:
     try:
         trace = solver.integrate(system, cons, w_from, w_to, y0, tol=tol)
     except (solver.SingularityError, solver.ToleranceError) as exc:
+        if isinstance(exc, solver.SingularityError) and exc.trace is not None:
+            manifest.data["stats"] = _run_stats(exc.trace)
         manifest.warn(f"integration failed: {exc}")
         manifest.data["status"] = "numerical-failure"
         manifest.write(os.path.join(outdir, f"{tag}.manifest.json"))
         return NUMERICAL_ERROR
 
+    manifest.data["stats"] = _run_stats(trace)
     path = os.path.join(outdir, f"{tag}.csv")
     atomic_write(path, _trace_csv(trace))
     manifest.add_output(path, "solution-trace")

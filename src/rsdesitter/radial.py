@@ -129,13 +129,9 @@ def _reduced_delta(mode: ModeLabel) -> int:
     return mode.delta
 
 
-def _scalars(mode: ModeLabel, omega):
-    """Weights (E, T, 1/sin, 1/tan, m) at omega, a float or a 1-d float array."""
-    if isinstance(omega, np.ndarray):
-        inside = bool(np.all((omega > 0.0) & (omega < _HALF_PI)))
-    else:
-        inside = 0.0 < omega < _HALF_PI
-    if not inside:
+def _scalars(mode: ModeLabel, omega: float):
+    """Weights (E, T, 1/sin, 1/tan, m) at one omega."""
+    if not 0.0 < omega < _HALF_PI:
         raise ValueError(f"omega must lie in (0, pi/2), got {omega}")
     return (
         mode.eps / np.cos(omega),
@@ -144,6 +140,28 @@ def _scalars(mode: ModeLabel, omega):
         1.0 / np.tan(omega),
         float(mode.mass),
     )
+
+
+def _scalar_rows(mode: ModeLabel, omegas: np.ndarray) -> np.ndarray:
+    """(k, 5) complex weights (E, T, 1/sin, 1/tan, m), one row per omega of a 1-d array.
+
+    Each row repeats the operations of :func:`_scalars` at that omega; E is
+    divided componentwise, as Python divides a complex by a float, so the
+    rows match the single-point weights wherever array and scalar trig agree.
+    """
+    if not (omegas.min() > 0.0 and omegas.max() < _HALF_PI):
+        raise ValueError(f"omega must lie in (0, pi/2), got {omegas}")
+    cos, sin, tan = np.cos(omegas), np.sin(omegas), np.tan(omegas)
+    eps = complex(mode.eps)
+    rows = np.empty((len(omegas), 5), dtype=complex)
+    parts = rows.view(float)  # (k, 10): real and imaginary part of each weight
+    parts[:, 0] = eps.real / cos
+    parts[:, 1] = eps.imag / cos
+    rows[:, 1] = tan
+    rows[:, 2] = 1.0 / sin
+    rows[:, 3] = 1.0 / tan
+    rows[:, 4] = float(mode.mass)
+    return rows
 
 
 def _scalar_derivatives(mode: ModeLabel, omega):
@@ -217,6 +235,15 @@ def amplitude_parity_matrix() -> np.ndarray:
     return m
 
 
+def _mode_stack(mode: ModeLabel, dimension: int) -> np.ndarray:
+    """The cached stack of ``mode`` for the 8- or 16-amplitude system."""
+    if dimension == 8:
+        return _system_stack(mode.two_j, _reduced_delta(mode), 8)
+    if dimension == 16:
+        return _system_stack(mode.two_j, None, 16)
+    raise ValueError("dimension must be 8 or 16")
+
+
 def endpoint_laurent(mode: ModeLabel, endpoint: str, dimension: int = 8):
     """Closed-form residue and subleading (constant) term of A at an endpoint.
 
@@ -235,12 +262,7 @@ def endpoint_laurent(mode: ModeLabel, endpoint: str, dimension: int = 8):
     }
     if endpoint not in weights:
         raise ValueError(f"endpoint must be 'origin' or 'horizon', got {endpoint!r}")
-    if dimension == 8:
-        stack = _system_stack(mode.two_j, _reduced_delta(mode), 8)
-    elif dimension == 16:
-        stack = _system_stack(mode.two_j, None, 16)
-    else:
-        raise ValueError("dimension must be 8 or 16")
+    stack = _mode_stack(mode, dimension)
     residue, constant = weights[endpoint]
     return _weighted(residue, stack, dimension), _weighted(constant, stack, dimension)
 
@@ -276,6 +298,15 @@ class RadialSystem:
         if self.dimension == 8:
             return build_A8(self.mode, omega)
         return build_A16(self.mode, omega)
+
+    def matrices(self, omegas: np.ndarray) -> np.ndarray:
+        """A at every omega of a 1-d float array: (k, n, n) from one (k, 5) @ (5, n*n) product.
+
+        Same formula and cached stack as :meth:`matrix`, whose single-point
+        route stays the cheaper one for one omega.
+        """
+        n, omegas = self.dimension, np.asarray(omegas, dtype=float)
+        return (_scalar_rows(self.mode, omegas) @ _mode_stack(self.mode, n)).reshape(-1, n, n)
 
     def laurent(self, endpoint: str) -> tuple[np.ndarray, np.ndarray]:
         """(residue, subleading) of A at ``endpoint``; see :func:`endpoint_laurent`."""
@@ -408,8 +439,7 @@ class ConstraintSet:
         out = np.zeros((len(omegas), 4))
         for lo in range(0, len(omegas), _RESIDUAL_BLOCK):
             w, y = omegas[lo:lo + _RESIDUAL_BLOCK], states[lo:lo + _RESIDUAL_BLOCK]
-            weights = np.column_stack(np.broadcast_arrays(*_scalars(self.mode, w)))
-            c = (weights @ stack).reshape(-1, 4, 8)
+            c = (_scalar_rows(self.mode, w) @ stack).reshape(-1, 4, 8)
             c += _TRACE_ROWS
             vals = np.abs(np.einsum("kij,kj->ki", c, y))
             row_norms = np.sqrt(

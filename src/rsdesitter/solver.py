@@ -9,13 +9,16 @@ endpoint from a chosen exponent.
 
 :func:`integrate` is an adaptive embedded Runge-Kutta pair of orders
 5(4) (Dormand-Prince coefficients) with PI step-size control and a
-continuous (dense) output on every accepted step.  Constraint residuals
-are recorded at every accepted step (computed in one batch once the run
-ends) so that drift of the algebraic relations can be monitored directly.
+continuous (dense) output on every accepted step.  Each attempted step
+takes its coefficient matrices from one batched call; the dense output and
+the constraint residuals of the accepted steps are computed in one batch
+once the run ends, so that drift of the algebraic relations can be
+monitored directly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,28 +27,27 @@ from .radial import ConstraintSet, RadialSystem, constraint_rank
 
 _HALF_PI = 0.5 * np.pi
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau: row i < 5 holds the weights of stages 0..i in
+# the input of stage i + 1; row 5 those of stages 0..5 in the fifth-order
+# solution, which is also the input of stage 6 (FSAL); row 6 those of all
+# seven stages in the error estimate
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = (
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-)
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_E = np.array(
-    [
-        35 / 384 - 5179 / 57600,
-        0.0,
-        500 / 1113 - 7571 / 16695,
-        125 / 192 - 393 / 640,
-        -2187 / 6784 + 92097 / 339200,
-        11 / 84 - 187 / 2100,
-        -1 / 40,
-    ]
-)
+_TABLEAU = np.zeros((7, 7))
+_TABLEAU[0, :1] = [1 / 5]
+_TABLEAU[1, :2] = [3 / 40, 9 / 40]
+_TABLEAU[2, :3] = [44 / 45, -56 / 15, 32 / 9]
+_TABLEAU[3, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
+_TABLEAU[4, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
+_TABLEAU[5, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
+_TABLEAU[6] = [
+    35 / 384 - 5179 / 57600,
+    0.0,
+    500 / 1113 - 7571 / 16695,
+    125 / 192 - 393 / 640,
+    -2187 / 6784 + 92097 / 339200,
+    11 / 84 - 187 / 2100,
+    -1 / 40,
+]
 # dense-output weights (classic order-4 continuous extension)
 _D = np.array(
     [
@@ -100,7 +102,9 @@ class SolutionTrace:
 
     ``residuals`` holds the normalized constraint-row values at each
     sample; ``steps`` and ``errors`` are the step sizes and local error
-    estimates.  ``evaluate`` interpolates with the integrator's dense
+    estimates.  ``rejected_steps`` counts the rejected attempts and
+    ``rhs_evals`` the products A(omega) Y (one at the start, six per
+    attempt).  ``evaluate`` interpolates with the integrator's dense
     output (fourth-order accurate between samples).
     """
 
@@ -109,11 +113,21 @@ class SolutionTrace:
     residuals: np.ndarray
     steps: np.ndarray
     errors: np.ndarray
+    rejected_steps: int = 0
+    rhs_evals: int = 0
     _dense: list = field(default_factory=list, repr=False)
 
     @property
     def n_steps(self) -> int:
         return len(self.omegas) - 1
+
+    @property
+    def step_range(self) -> tuple[float, float]:
+        """Smallest and largest |h| of the accepted steps (0, 0 without one)."""
+        if self.n_steps == 0:
+            return 0.0, 0.0
+        sizes = np.abs(self.steps[1:])
+        return float(sizes.min()), float(sizes.max())
 
     def evaluate(self, omega: float) -> np.ndarray:
         lo, hi = sorted((self.omegas[0], self.omegas[-1]))
@@ -131,11 +145,6 @@ class SolutionTrace:
         return r1 + t * (r2 + (1 - t) * (r3 + t * (r4 + (1 - t) * r5)))
 
 
-def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, atol: float, rtol: float) -> float:
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
-
-
 def integrate(
     system: RadialSystem,
     constraints: ConstraintSet | None,
@@ -149,11 +158,14 @@ def integrate(
     """Integrate Y' = A(omega) Y from omega_start to omega_end.
 
     The local error per step is controlled to ``tol`` (used as both the
-    absolute and relative weight).  Constraint residuals of every accepted
-    step are evaluated in one batch after the loop (also for the partial
-    trace of a failed run).  Near a singular endpoint the step size can
-    underflow; that raises :class:`SingularityError` carrying the partial
-    trace, while a persistently rejected step raises
+    absolute and relative weight).  Each attempted step takes the matrices
+    of its stages 1-5 from one :meth:`RadialSystem.matrices` call; stage 6
+    sits at w + h like stage 5 and reuses its matrix, and is the first
+    stage of the next step (FSAL).  The dense output of the accepted steps
+    and their constraint residuals are built in one batch after the loop
+    (also for the partial trace of a failed run).  Near a singular endpoint
+    the step size can underflow; that raises :class:`SingularityError`
+    carrying the partial trace, while a persistently rejected step raises
     :class:`ToleranceError`.
     """
     lo, hi = sorted((omega_start, omega_end))
@@ -169,14 +181,12 @@ def integrate(
     span = abs(omega_end - omega_start)
     h = direction * (h0 if h0 is not None else min(1e-2, 0.1 * span))
     h_min = max(1e-14, 4.0 * np.finfo(float).eps * span)
-
-    def rhs(w: float, state: np.ndarray) -> np.ndarray:
-        return system.matrix(w) @ state
+    n = y.size
 
     w = float(omega_start)
-    k_last = rhs(w, y)
-    omegas, states, steps, errors = [w], [y.copy()], [0.0], [0.0]
-    dense: list = []
+    k_first = system.matrices(np.array([w]))[0] @ y
+    omegas, states, steps, errors, stages = [w], [y], [0.0], [0.0], []
+    rhs_evals, rejected = 1, 0
     err_prev = 1.0
     rejected_in_a_row = 0
 
@@ -184,38 +194,34 @@ def integrate(
         if direction * (omega_end - w) <= 0:
             break
         if abs(h) < h_min:
-            trace = _finalize(constraints, omegas, states, steps, errors, dense)
+            trace = _finalize(
+                constraints, omegas, states, steps, errors, stages, rejected, rhs_evals
+            )
             raise SingularityError(
                 f"step size underflow at omega = {w:.6g} (h = {abs(h):.3e})", trace
             )
         if direction * (w + h - omega_end) > 0:
             h = omega_end - w
 
-        k = np.empty((7, y.size), dtype=complex)
-        k[0] = k_last
-        for i, row in enumerate(_A):
-            k[i + 1] = rhs(w + _C[i + 1] * h, y + h * (row @ k[: i + 1]))
-        y_new = y + h * (_B5 @ k)
-        err_vec = h * (_E @ k)
-        err = _error_norm(err_vec, y, y_new, tol, tol)
+        a = system.matrices(w + _C[1:6] * h)
+        k = np.empty((7, n), dtype=complex)
+        k[0] = k_first
+        for i in range(5):
+            k[i + 1] = a[i] @ (y + h * (_TABLEAU[i, : i + 1] @ k[: i + 1]))
+        y_new = y + h * (_TABLEAU[5, :6] @ k[:6])
+        k[6] = a[4] @ y_new
+        rhs_evals += 6
+        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
+        err = math.sqrt((np.abs(h * (_TABLEAU[6] @ k) / scale) ** 2).sum() / n)
 
         if err <= 1.0:
-            # accepted: store the dense-output segment, then advance
-            ydiff = y_new - y
-            bspl = h * k[0] - ydiff
-            cont = (
-                y.copy(),
-                ydiff,
-                bspl,
-                ydiff - h * k[6] - bspl,
-                h * (_D @ k),
-            )
-            dense.append((w, h, cont))
+            # accepted: keep the stages for the dense output, then advance
+            stages.append(k)
             w = w + h
             y = y_new
-            k_last = k[6]
+            k_first = k[6]
             omegas.append(w)
-            states.append(y.copy())
+            states.append(y)
             steps.append(h)
             errors.append(err)
             fac = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0 else 5.0
@@ -223,6 +229,7 @@ def integrate(
             rejected_in_a_row = 0
         else:
             fac = max(0.2, 0.9 * err ** -0.2)
+            rejected += 1
             rejected_in_a_row += 1
             if rejected_in_a_row > 60:
                 raise ToleranceError(
@@ -233,21 +240,40 @@ def integrate(
     else:
         raise ToleranceError(f"exceeded {max_steps} steps before reaching omega_end")
 
-    return _finalize(constraints, omegas, states, steps, errors, dense)
+    return _finalize(constraints, omegas, states, steps, errors, stages, rejected, rhs_evals)
 
 
-def _finalize(constraints, omegas, states, steps, errors, dense) -> SolutionTrace:
-    omegas, states = np.array(omegas), np.array(states)
+def _finalize(
+    constraints, omegas, states, steps, errors, stages, rejected, rhs_evals
+) -> SolutionTrace:
+    """Trace of the accepted steps, with every dense-output segment built in one pass.
+
+    Empties ``stages`` after copying them into one array, so the per-step
+    arrays are freed before the segments are built.
+    """
+    omegas, states, steps = np.array(omegas), np.array(states), np.array(steps)
     if constraints is None:
         residuals = np.zeros((len(omegas), 4))
     else:
         residuals = constraints.residuals_many(omegas, states)
+    dense = []
+    if stages:
+        k, h = np.array(stages), steps[1:, None]
+        stages.clear()
+        ydiff = states[1:] - states[:-1]
+        bspl = h * k[:, 0] - ydiff
+        cont = np.stack(
+            (states[:-1], ydiff, bspl, ydiff - h * k[:, 6] - bspl, h * (_D @ k)), axis=1
+        )
+        dense = list(zip(omegas[:-1].tolist(), steps[1:].tolist(), cont))
     return SolutionTrace(
         omegas=omegas,
         states=states,
         residuals=residuals,
-        steps=np.array(steps),
+        steps=steps,
         errors=np.array(errors),
+        rejected_steps=rejected,
+        rhs_evals=rhs_evals,
         _dense=dense,
     )
 

@@ -135,6 +135,15 @@ def test_criterion_5_reduction_exactness():
                 ModeLabel(j=j, m_j=0.5, eps=eps, mass=mass, delta=-1), omega
             )
             assert np.array_equal(plus, minus)
+            # the same duality through the batched route, at several omegas at once
+            omegas = omega + np.linspace(-0.04, 0.04, 5)
+            plus = radial.RadialSystem(
+                ModeLabel(j=j, m_j=0.5, eps=eps, mass=-mass, delta=+1)
+            ).matrices(omegas)
+            minus = radial.RadialSystem(
+                ModeLabel(j=j, m_j=0.5, eps=eps, mass=mass, delta=-1)
+            ).matrices(omegas)
+            assert np.array_equal(plus, minus)
     elapsed = time.perf_counter() - start
     _report("5 reduction-exactness", worst, 1e-13, elapsed)
     assert worst < 1e-13

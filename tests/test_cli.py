@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from rsdesitter import cli
+from rsdesitter import cli, radial, solver
+from rsdesitter.ansatz import ModeLabel
 
 
 def run(args, **env):
@@ -132,6 +133,9 @@ def test_integrate_failure_writes_only_the_manifest(tmp_path):
     assert manifest["outputs"] == []
     assert len(manifest["warnings"]) == 1
     assert manifest["warnings"][0].startswith("integration failed: step size underflow")
+    stats = manifest["stats"]  # counts of the partial trace
+    assert stats["accepted_steps"] > 0
+    assert stats["rhs_evals"] == 1 + 6 * (stats["accepted_steps"] + stats["rejected_steps"])
 
 
 def test_manifest_lists_every_output_once(tmp_path):
@@ -238,3 +242,60 @@ def test_sweep_workers_validated_and_capped(tmp_path, monkeypatch):
         assert code == 0
     # zero workers never reached the pool; jobs = 2 per mass (both deltas)
     assert _RecordingPool.sizes == [expected for _, _, expected in cases]
+
+
+def _csv_by_element(trace):
+    """_trace_csv written one format(x, ".17g") call per value."""
+    header = ["omega"]
+    for name in [f"{g}{l}" for g in ("f", "g") for l in range(4)]:
+        header += [f"re_{name}", f"im_{name}"]
+    header += [f"residual_{k}" for k in range(1, 5)]
+    lines = [",".join(header)]
+    for w, y, r in zip(trace.omegas, trace.states, trace.residuals):
+        row = [format(float(w), ".17g")]
+        for z in y:
+            row += [format(float(z.real), ".17g"), format(float(z.imag), ".17g")]
+        row += [format(float(x), ".17g") for x in r]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def test_trace_csv_matches_per_element_format():
+    rng = np.random.default_rng(2)
+    specials = np.array([-0.0, 0.0, 5e-324, -2.2e-310, 1e300, -1e300, 1.0, -3.0, 2.0**60,
+                         1e16, 0.1, 1 / 3, np.pi])
+    states = rng.choice(specials, (5, 8)) + 1j * rng.choice(specials, (5, 8))
+    states[0] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    trace = solver.SolutionTrace(
+        omegas=np.array([0.1, 0.5, 1.0, 1.25, 1.5]),
+        states=states,
+        residuals=rng.choice(specials, (5, 4)),
+        steps=np.zeros(5),
+        errors=np.zeros(5),
+    )
+    assert cli._trace_csv(trace) == _csv_by_element(trace)
+    mode = ModeLabel(j=0.5, m_j=0.5, eps=1.3, mass=0.7, delta=1)
+    zero = solver.integrate(
+        radial.RadialSystem(mode=mode), radial.ConstraintSet(mode=mode), 0.3, 1.2,
+        np.zeros(8, dtype=complex), tol=1e-10,
+    )
+    assert np.abs(zero.residuals).max() == 0.0
+    assert cli._trace_csv(zero) == _csv_by_element(zero)
+
+
+def test_integrate_manifest_records_run_stats(tmp_path):
+    args = ["integrate", "--j", "3/2", "--delta", "-1", "--eps", "1.3+0.2j", "--mass",
+            "0.7", "--from", "0.3", "--to", "1.2", "--tol", "1e-10", "--seed", "5"]
+    stats = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        assert run(args + ["--out", str(tmp_path / name)]) == 0
+        stats.append(json.loads((tmp_path / name / "integrate.manifest.json").read_text())["stats"])
+    assert stats[0] == stats[1]
+    first = stats[0]
+    assert sorted(first) == ["accepted_steps", "max_step", "min_step", "rejected_steps",
+                             "rhs_evals"]
+    rows = (tmp_path / "a" / "integrate.csv").read_text().strip().splitlines()[1:]
+    assert first["accepted_steps"] == len(rows) - 1
+    assert first["rhs_evals"] == 1 + 6 * (first["accepted_steps"] + first["rejected_steps"])
+    assert 0.0 < first["min_step"] <= first["max_step"]

@@ -400,3 +400,51 @@ def test_table_cache_is_bounded_by_j_and_delta():
                 radial.constraint_matrix(mode, 0.9)
     assert radial._system_stack.cache_info().currsize <= 6
     assert radial._constraint_stack.cache_info().currsize <= 6
+
+
+@pytest.mark.parametrize("j", (0.5, 1.5, 2.5))
+def test_batched_matrices_match_single_point_route(j):
+    omegas = np.array([0.013, 0.3, 0.7, 1.1, 1.5, 1.557])
+    for delta, dim, build in ((1, 8, radial.build_A8), (-1, 8, radial.build_A8),
+                              (None, 16, radial.build_A16)):
+        mode = _mode(j=j, eps=1.3 - 0.6j, mass=0.7, delta=delta)
+        batch = radial.RadialSystem(mode=mode, dimension=dim).matrices(omegas)
+        assert batch.shape == (len(omegas), dim, dim)
+        for omega, a in zip(omegas, batch):
+            assert _rel(a, build(mode, omega)) <= 1e-15, (j, delta, omega)
+
+
+def test_batched_matrices_parity_mass_duality_exact():
+    rng = np.random.default_rng(8)
+    omegas = rng.uniform(0.05, 1.5, 5)
+    for j in (0.5, 1.5, 2.5):
+        for eps, mass in zip(rng.uniform(-3, 3, 5) + 0.3j, rng.uniform(0, 3, 5)):
+            minus = radial.RadialSystem(_mode(j=j, eps=eps, mass=mass, delta=-1)).matrices(omegas)
+            plus = radial.RadialSystem(_mode(j=j, eps=eps, mass=-mass, delta=1)).matrices(omegas)
+            assert np.array_equal(plus, minus)
+
+
+def test_batched_matrices_reject_out_of_range_omegas():
+    system = radial.RadialSystem(_mode(delta=1))
+    for bad in ([0.3, 0.0], [np.pi / 2, 0.3], [-0.1], [0.4, np.nan], [2.0]):
+        with pytest.raises(ValueError):
+            system.matrices(np.array(bad))
+
+
+def test_batched_matrices_share_the_stack_cache():
+    radial._system_stack.cache_clear()
+    rng = np.random.default_rng(6)
+    omegas = np.array([0.2, 0.9])
+    for eps, mass in zip(rng.uniform(-3, 3, 50), rng.uniform(0, 3, 50)):
+        for j in (0.5, 1.5, 2.5):
+            for delta, dim in ((1, 8), (-1, 8), (1, 16)):
+                mode = _mode(j=j, eps=eps, mass=mass, delta=delta)
+                radial.RadialSystem(mode=mode, dimension=dim).matrices(omegas)
+    assert radial._system_stack.cache_info().currsize <= 9
+
+
+def test_angular_route_reads_no_system_stack():
+    radial._system_stack.cache_clear()
+    radial.assemble_from_angular(_mode(j=1.5), 0.7)
+    info = radial._system_stack.cache_info()
+    assert info.hits == info.misses == 0

@@ -260,3 +260,144 @@ def test_trace_residuals_match_pointwise_on_success_and_failure():
         pointwise = [cons.residuals(w, y) for w, y in zip(trace.omegas, trace.states)]
         assert trace.residuals.shape == (len(trace.omegas), 4)
         assert np.abs(trace.residuals - np.array(pointwise)).max() <= 1e-15
+
+
+# the per-stage Dormand-Prince loop as it ran before the batched coefficient
+# call: six A(omega) evaluations per attempt and one dense segment per step
+_REF_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_REF_A = (
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+)
+_REF_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_REF_E = np.array(
+    [
+        35 / 384 - 5179 / 57600,
+        0.0,
+        500 / 1113 - 7571 / 16695,
+        125 / 192 - 393 / 640,
+        -2187 / 6784 + 92097 / 339200,
+        11 / 84 - 187 / 2100,
+        -1 / 40,
+    ]
+)
+_REF_D = np.array(
+    [
+        -12715105075 / 11282082432,
+        0.0,
+        87487479700 / 32700410799,
+        -10690763975 / 1880347072,
+        701980252875 / 199316789632,
+        -1453857185 / 822651844,
+        69997945 / 29380423,
+    ]
+)
+
+
+def _per_stage_integrate(system, omega_start, omega_end, y0, tol):
+    """(omegas, states, dense, underflowed) of the per-stage loop."""
+    y = np.asarray(y0, dtype=complex).copy()
+    direction = 1.0 if omega_end >= omega_start else -1.0
+    span = abs(omega_end - omega_start)
+    h = direction * min(1e-2, 0.1 * span)
+    h_min = max(1e-14, 4.0 * np.finfo(float).eps * span)
+
+    def rhs(w, state):
+        return system.matrix(w) @ state
+
+    w = float(omega_start)
+    k_last = rhs(w, y)
+    omegas, states, dense = [w], [y.copy()], []
+    err_prev = 1.0
+    while direction * (omega_end - w) > 0:
+        if abs(h) < h_min:
+            return np.array(omegas), np.array(states), dense, True
+        if direction * (w + h - omega_end) > 0:
+            h = omega_end - w
+        k = np.empty((7, y.size), dtype=complex)
+        k[0] = k_last
+        for i, row in enumerate(_REF_A):
+            k[i + 1] = rhs(w + _REF_C[i + 1] * h, y + h * (row @ k[: i + 1]))
+        y_new = y + h * (_REF_B5 @ k)
+        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
+        err = float(np.sqrt(np.mean(np.abs(h * (_REF_E @ k) / scale) ** 2)))
+        if err <= 1.0:
+            ydiff = y_new - y
+            bspl = h * k[0] - ydiff
+            cont = (y.copy(), ydiff, bspl, ydiff - h * k[6] - bspl, h * (_REF_D @ k))
+            dense.append((w, h, cont))
+            w, y, k_last = w + h, y_new, k[6]
+            omegas.append(w)
+            states.append(y.copy())
+            fac = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0 else 5.0
+            err_prev = max(err, 1e-4)
+        else:
+            fac = max(0.2, 0.9 * err ** -0.2)
+        h = h * min(5.0, max(0.2, fac))
+    return np.array(omegas), np.array(states), dense, False
+
+
+def _assert_matches_oracle(trace, oracle, case):
+    omegas, states, dense, _ = oracle
+    assert trace.n_steps == len(omegas) - 1, case
+    assert np.abs(trace.omegas - omegas).max() <= 1e-14, case
+    scale = np.abs(states).max(axis=1, keepdims=True)
+    assert (np.abs(trace.states - states) / scale).max() <= 1e-12, case
+    for (w0, h, cont), (w0_ref, h_ref, cont_ref) in zip(trace._dense, dense):
+        assert abs(w0 - w0_ref) <= 1e-14 and abs(h - h_ref) <= 1e-14, case
+        assert np.abs(np.array(cont) - np.array(cont_ref)).max() <= 1e-12 * scale.max(), case
+
+
+_ORACLE_CASES = [
+    (j, delta, dim, start, end, tol)
+    for j in (0.5, 1.5, 2.5)
+    for delta, dim in ((1, 8), (-1, 8), (None, 16))
+    for start, end in ((0.2, 1.3), (1.3, 0.2))
+    for tol in (1e-10, 1e-12)
+]
+
+
+@pytest.mark.parametrize("j, delta, dim, start, end, tol", _ORACLE_CASES)
+def test_batched_step_matches_per_stage_oracle(j, delta, dim, start, end, tol):
+    mode = ModeLabel(j=j, m_j=0.5, eps=1.3 + 0.4j, mass=0.7, delta=delta)
+    system = radial.RadialSystem(mode=mode, dimension=dim)
+    rng = np.random.default_rng(int(20 * j) + dim)
+    y0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    trace = solver.integrate(system, None, start, end, y0, tol=tol)
+    oracle = _per_stage_integrate(system, start, end, y0, tol)
+    assert not oracle[3]
+    _assert_matches_oracle(trace, oracle, (j, delta, dim, start, end, tol))
+
+
+def test_partial_trace_matches_per_stage_oracle():
+    system, _ = _system(j=1.5, eps=1.3 + 0.4j)
+    y0 = np.ones(8, dtype=complex)
+    end = np.pi / 2 - 1e-13
+    with pytest.raises(solver.SingularityError) as info:
+        solver.integrate(system, None, 1.3, end, y0, tol=1e-8)
+    oracle = _per_stage_integrate(system, 1.3, end, y0, 1e-8)
+    assert oracle[3]
+    _assert_matches_oracle(info.value.trace, oracle, "partial")
+
+
+def test_run_counts_repeat_and_add_up():
+    system, cons = _system(j=1.5)
+    y0 = np.ones(8, dtype=complex)
+    # an oversized first step forces rejections
+    runs = [solver.integrate(system, cons, 0.2, 1.3, y0, tol=1e-10, h0=0.5) for _ in range(2)]
+    counts = [(t.n_steps, t.rejected_steps, t.rhs_evals, t.step_range) for t in runs]
+    assert counts[0] == counts[1]
+    trace = runs[0]
+    assert trace.rejected_steps > 0
+    assert trace.rhs_evals == 1 + 6 * (trace.n_steps + trace.rejected_steps)
+    sizes = np.abs(trace.steps[1:])
+    assert trace.step_range == (sizes.min(), sizes.max())
+    assert sizes.min() < sizes.max()
+    with pytest.raises(solver.SingularityError) as info:
+        solver.integrate(system, None, 1.3, np.pi / 2 - 1e-13, y0, tol=1e-8)
+    partial = info.value.trace
+    assert partial.rhs_evals == 1 + 6 * (partial.n_steps + partial.rejected_steps)
