@@ -19,12 +19,14 @@ Conventions used throughout the package:
 s in (xi_upper, xi_lower, eta_upper, eta_lower) and l the cyclic vector
 index, so a product operator is ``np.kron(bispinor_part, vector_part)``.
 
-All functions are pure and return fresh arrays; values may be shared
-freely between threads.
+All functions are pure and return fresh arrays, except
+:func:`generator_table`, which hands out one cached read-only table per
+generator family; values may be shared freely between threads.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
@@ -61,9 +63,7 @@ def pauli(k: int) -> np.ndarray:
     return _PAULI[k - 1].copy()
 
 
-def gamma_matrix(a: int) -> np.ndarray:
-    """Dirac matrix gamma^a (4x4) in the two-spinor split representation."""
-    _check_index(a)
+def _gamma_formula(a: int) -> np.ndarray:
     g = np.zeros((4, 4), dtype=complex)
     if a == 0:
         g[:2, 2:] = _ID2
@@ -74,11 +74,20 @@ def gamma_matrix(a: int) -> np.ndarray:
     return g
 
 
+_GAMMA = np.stack([_gamma_formula(a) for a in range(4)])
+_GAMMA.flags.writeable = False
+
+
+def gamma_matrix(a: int) -> np.ndarray:
+    """Dirac matrix gamma^a (4x4) in the two-spinor split representation."""
+    _check_index(a)
+    return _GAMMA[a].copy()
+
+
 def bispinor_generator(a: int, b: int) -> np.ndarray:
     """Lorentz generator sigma^{ab} = [gamma^a, gamma^b]/4 on bispinors."""
     _check_pair(a, b)
-    ga, gb = gamma_matrix(a), gamma_matrix(b)
-    return 0.25 * (ga @ gb - gb @ ga)
+    return generator_table("bispinor")[a, b].copy()
 
 
 def vector_generator(a: int, b: int) -> np.ndarray:
@@ -88,10 +97,7 @@ def vector_generator(a: int, b: int) -> np.ndarray:
     real and in {0, +1, -1}.
     """
     _check_pair(a, b)
-    m = np.zeros((4, 4))
-    m[a, b] = METRIC[b, b]
-    m[b, a] = -METRIC[a, a]
-    return m.astype(complex)
+    return generator_table("vector")[a, b].copy()
 
 
 def cyclic_transform() -> np.ndarray:
@@ -118,8 +124,49 @@ def cyclic_transform_inverse() -> np.ndarray:
 
 def tilde_generator(a: int, b: int) -> np.ndarray:
     """Vector generator conjugated into the cyclic basis, U j^{ab} U^{-1}."""
-    u = cyclic_transform()
-    return u @ vector_generator(a, b) @ u.conj().T
+    _check_pair(a, b)
+    return generator_table("cyclic")[a, b].copy()
+
+
+def _generator(family: str, a: int, b: int) -> np.ndarray:
+    """G^{ab} of one family from its defining formula (a != b)."""
+    if family == "bispinor":
+        ga, gb = _GAMMA[a], _GAMMA[b]
+        return 0.25 * (ga @ gb - gb @ ga)
+    if family == "vector":
+        m = np.zeros((4, 4))
+        m[a, b] = METRIC[b, b]
+        m[b, a] = -METRIC[a, a]
+        return m.astype(complex)
+    if family == "cyclic":
+        u = cyclic_transform()
+        return u @ generator_table("vector")[a, b] @ u.conj().T
+    if family == "tilde":
+        # full transformed generator: bispinor part plus cyclic vector part
+        return np.kron(generator_table("bispinor")[a, b], np.eye(4)) + np.kron(
+            np.eye(4), generator_table("cyclic")[a, b]
+        )
+    raise ValueError(f"unknown generator family {family!r}")
+
+
+@functools.lru_cache(maxsize=None)  # at most the four families below
+def generator_table(family: str) -> np.ndarray:
+    """Read-only table G[a, b] of one generator family, zero on a == b.
+
+    Families: ``"bispinor"`` (sigma^{ab}, 4x4), ``"vector"`` (j^{ab}, 4x4),
+    ``"cyclic"`` (U j^{ab} U^{-1}, 4x4) and ``"tilde"`` (the full 16x16
+    generator sigma^{ab} x 1 + 1 x U j^{ab} U^{-1}).  Built once per
+    process on first use; the public constructors return copies of its
+    slices.
+    """
+    n = 16 if family == "tilde" else 4
+    table = np.zeros((4, 4, n, n), dtype=complex)
+    for a in range(4):
+        for b in range(4):
+            if a != b:
+                table[a, b] = _generator(family, a, b)
+    table.flags.writeable = False
+    return table
 
 
 def tilde_spin_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -249,46 +296,29 @@ def clifford_residual() -> float:
     return worst
 
 
-def _generator(family: str, a: int, b: int) -> np.ndarray:
-    if family == "bispinor":
-        return bispinor_generator(a, b)
-    if family == "vector":
-        return vector_generator(a, b)
-    if family == "tilde":
-        # full transformed generator: bispinor part plus cyclic vector part
-        return np.kron(bispinor_generator(a, b), np.eye(4)) + np.kron(
-            np.eye(4), tilde_generator(a, b)
-        )
-    raise ValueError(f"unknown generator family {family!r}")
-
-
 def lorentz_algebra_residual(family: str) -> float:
     """max deviation of [G^{ab}, G^{cd}] from the so(3,1) structure terms.
 
     The commutator must equal
     g^{ad} G^{bc} + g^{bc} G^{ad} - g^{ac} G^{bd} - g^{bd} G^{ac}
-    for every pair of index pairs.
+    for every pair of index pairs.  Each (a, b) is checked against all
+    (c, d) at once; a == b and c == d are skipped.
     """
-
-    def gen(a, b):
-        if a == b:
-            n = 4 if family in ("bispinor", "vector") else 16
-            return np.zeros((n, n), dtype=complex)
-        return _generator(family, a, b)
-
-    pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
+    gen = generator_table(family)
+    g_c = METRIC[:, :, None, None, None]  # g_c[a] = g^{ac} along the c axis
+    g_d = METRIC[:, None, :, None, None]  # g_d[a] = g^{ad} along the d axis
+    off = ~np.eye(4, dtype=bool)
     worst = 0.0
-    for a, b in pairs:
-        gab = gen(a, b)
-        for c, d in pairs:
-            lhs = gab @ gen(c, d) - gen(c, d) @ gab
-            rhs = (
-                METRIC[a, d] * gen(b, c)
-                + METRIC[b, c] * gen(a, d)
-                - METRIC[a, c] * gen(b, d)
-                - METRIC[b, d] * gen(a, c)
-            )
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
+    for a, b in zip(*np.nonzero(off)):
+        gab = gen[a, b]
+        lhs = gab @ gen - gen @ gab  # [c, d] = [G^{ab}, G^{cd}]
+        rhs = (
+            g_d[a] * gen[b][:, None]
+            + g_c[b] * gen[a][None]
+            - g_c[a] * gen[b][None]
+            - g_d[b] * gen[a][:, None]
+        )
+        worst = max(worst, float(np.abs(lhs - rhs)[off].max()))
     return worst
 
 
@@ -379,9 +409,15 @@ def total_momentum_conjugation_residual(n_points: int = 20, seed: int = 0) -> fl
             1j * 0.2 * (k % 3) * phi
         ) + 0.3 * k * np.sin(theta)
 
-    def orbital(i: int, fun, theta: float, phi: float) -> np.ndarray:
+    def rotated(theta: float, phi: float) -> np.ndarray:
+        return schrodinger_rotation_inverse(theta, phi) @ section(theta, phi)
+
+    def partials(fun, theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
         dth = (fun(theta + h, phi) - fun(theta - h, phi)) / (2 * h)
         dph = (fun(theta, phi + h) - fun(theta, phi - h)) / (2 * h)
+        return dth, dph
+
+    def orbital(i: int, dth: np.ndarray, dph: np.ndarray, theta: float, phi: float) -> np.ndarray:
         ct = 1.0 / np.tan(theta)
         if i == 1:
             return 1j * (np.sin(phi) * dth + ct * np.cos(phi) * dph)
@@ -389,26 +425,22 @@ def total_momentum_conjugation_residual(n_points: int = 20, seed: int = 0) -> fl
             return 1j * (-np.cos(phi) * dth + ct * np.sin(phi) * dph)
         return -1j * dph
 
-    s3 = spin_matrix(3)
+    spins = {i: spin_matrix(i) for i in (1, 2, 3)}
     worst = 0.0
     for _ in range(n_points):
         th = rng.uniform(0.3, np.pi - 0.3)
         ph = rng.uniform(0.0, 2 * np.pi)
         f = section(th, ph)
+        rot = rotated(th, ph)
+        d_rot = partials(rotated, th, ph)
+        d_sec = partials(section, th, ph)
+        frame = schrodinger_rotation(th, ph)
         for i in (1, 2, 3):
-            spin_i = spin_matrix(i)
-
-            def rotated(tt: float, pp: float) -> np.ndarray:
-                return schrodinger_rotation_inverse(tt, pp) @ section(tt, pp)
-
-            conj = schrodinger_rotation(th, ph) @ (
-                orbital(i, rotated, th, ph) + spin_i @ rotated(th, ph)
-            )
+            conj = frame @ (orbital(i, *d_rot, th, ph) + spins[i] @ rot)
+            expect = orbital(i, *d_sec, th, ph)
             if i == 1:
-                expect = orbital(1, section, th, ph) + (np.cos(ph) / np.sin(th)) * (s3 @ f)
+                expect = expect + (np.cos(ph) / np.sin(th)) * (spins[3] @ f)
             elif i == 2:
-                expect = orbital(2, section, th, ph) + (np.sin(ph) / np.sin(th)) * (s3 @ f)
-            else:
-                expect = orbital(3, section, th, ph)
+                expect = expect + (np.sin(ph) / np.sin(th)) * (spins[3] @ f)
             worst = max(worst, float(np.abs(conj - expect).max()))
     return worst

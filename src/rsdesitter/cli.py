@@ -50,10 +50,12 @@ from .ansatz import (
 )
 
 USAGE_ERROR, NUMERICAL_ERROR = 2, 3
+# 17 significant digits: every float written round-trips exactly
+_FLOAT = "%.17g"
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return _FLOAT % float(x)
 
 
 def parse_half_integer(text: str, name: str = "value") -> Fraction:
@@ -376,12 +378,11 @@ def _trace_csv(trace: solver.SolutionTrace) -> str:
     for n in names:
         header += [f"re_{n}", f"im_{n}"]
     header += [f"residual_{k}" for k in range(1, 5)]
-    # one real row per sample: omega, (re, im) of each amplitude, residuals;
-    # "%.17g" % x is format(x, ".17g"), as in _fmt
+    # one real row per sample: omega, (re, im) of each amplitude, residuals
     table = np.concatenate(
         (trace.omegas[:, None], trace.states.view(float), trace.residuals), axis=1
     )
-    row = ",".join(["%.17g"] * table.shape[1])
+    row = ",".join([_FLOAT] * table.shape[1])
     return "\n".join([",".join(header)] + [row % tuple(r) for r in table.tolist()]) + "\n"
 
 

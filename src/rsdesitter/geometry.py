@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import bispinor_generator, vector_generator
+from .algebra import generator_table
 
 _HALF_PI = 0.5 * np.pi
 
@@ -98,16 +98,17 @@ def connections(
     sq = point.sqrt_phi
     ct, st = np.cos(theta), np.sin(theta)
     half_dphi = 0.5 * point.phi_prime
+    sig, j = generator_table("bispinor"), generator_table("vector")
 
-    gam_t = half_dphi * bispinor_generator(0, 3)
+    gam_t = half_dphi * sig[0, 3]
     gam_r = np.zeros((4, 4), dtype=complex)
-    gam_th = sq * bispinor_generator(3, 1)
-    gam_ph = sq * st * bispinor_generator(3, 2) + ct * bispinor_generator(1, 2)
+    gam_th = sq * sig[3, 1]
+    gam_ph = sq * st * sig[3, 2] + ct * sig[1, 2]
 
-    l_t = half_dphi * vector_generator(0, 3)
+    l_t = half_dphi * j[0, 3]
     l_r = np.zeros((4, 4), dtype=complex)
-    l_th = sq * vector_generator(3, 1)
-    l_ph = sq * st * vector_generator(3, 2) + ct * vector_generator(1, 2)
+    l_th = sq * j[3, 1]
+    l_ph = sq * st * j[3, 2] + ct * j[1, 2]
 
     return (gam_t, gam_r, gam_th, gam_ph), (l_t, l_r, l_th, l_ph)
 
@@ -162,17 +163,9 @@ def christoffels_fd(r: float, theta: float, h: float = 1e-5) -> np.ndarray:
     """Christoffel symbols Gamma^lam_{mu nu} from central differences."""
     g_inv = np.linalg.inv(_metric_at(r, theta))
     dg = _metric_partials(r, theta, h)
-    gam = np.zeros((4, 4, 4))
-    for lam in range(4):
-        for mu in range(4):
-            for nu in range(4):
-                acc = 0.0
-                for rho in range(4):
-                    acc += g_inv[lam, rho] * (
-                        dg[mu, rho, nu] + dg[nu, rho, mu] - dg[rho, mu, nu]
-                    )
-                gam[lam, mu, nu] = 0.5 * acc
-    return gam
+    # [mu, rho, nu]: d_mu g_{rho nu} + d_nu g_{rho mu} - d_rho g_{mu nu}
+    bracket = dg + dg.transpose(2, 1, 0) - dg.transpose(1, 0, 2)
+    return 0.5 * np.einsum("lr,mrn->lmn", g_inv, bracket)
 
 
 def _tetrad_covariant_derivatives(r: float, theta: float, h: float) -> np.ndarray:
@@ -186,15 +179,7 @@ def _tetrad_covariant_derivatives(r: float, theta: float, h: float) -> np.ndarra
     de = np.zeros((4, 4, 4))  # [alpha, b, beta]
     de[1] = (lowered(r + h, theta) - lowered(r - h, theta)) / (2 * h)
     de[2] = (lowered(r, theta + h) - lowered(r, theta - h)) / (2 * h)
-
-    nabla = np.zeros((4, 4, 4))
-    for alpha in range(4):
-        for b in range(4):
-            for beta in range(4):
-                nabla[alpha, b, beta] = de[alpha, b, beta] - np.dot(
-                    gam[:, alpha, beta], e_low[b, :]
-                )
-    return nabla
+    return de - np.einsum("lab,cl->acb", gam, e_low)
 
 
 def connections_fd(
@@ -208,24 +193,9 @@ def connections_fd(
     r = point.r
     nabla = _tetrad_covariant_derivatives(r, theta, h)
     e_up = _tetrad_at(r, theta)
-
-    gammas: list[np.ndarray] = []
-    ells: list[np.ndarray] = []
-    for alpha in range(4):
-        coeff = np.zeros((4, 4))
-        for a in range(4):
-            for b in range(4):
-                coeff[a, b] = np.dot(e_up[a, :], nabla[alpha, b, :])
-        gam = np.zeros((4, 4), dtype=complex)
-        ell = np.zeros((4, 4), dtype=complex)
-        for a in range(4):
-            for b in range(4):
-                if a == b:
-                    continue
-                gam += 0.5 * coeff[a, b] * bispinor_generator(a, b)
-                ell += 0.5 * coeff[a, b] * vector_generator(a, b)
-        gammas.append(gam)
-        ells.append(ell)
+    half = 0.5 * np.einsum("ak,xbk->xab", e_up, nabla)  # [alpha, a, b]
+    gammas = np.einsum("xab,abij->xij", half, generator_table("bispinor"))
+    ells = np.einsum("xab,abij->xij", half, generator_table("vector"))
     return tuple(gammas), tuple(ells)
 
 

@@ -212,29 +212,6 @@ def build_A8(mode: ModeLabel, omega: float) -> np.ndarray:
     return _weighted(_scalars(mode, omega), stack, 8)
 
 
-def build_dA8(mode: ModeLabel, omega: float) -> np.ndarray:
-    """Exact omega-derivative of the reduced coefficient matrix."""
-    stack = _system_stack(mode.two_j, _reduced_delta(mode), 8)
-    return _weighted(_scalar_derivatives(mode, omega), stack, 8)
-
-
-def amplitude_parity_matrix() -> np.ndarray:
-    """16x16 amplitude-level inversion with eigenvalues +-1.
-
-    The embedding columns of :func:`parity_embed` are eigenvectors with
-    eigenvalue delta; the matrix is the composition of the combined
-    inversion operator with the helicity flip of the slot functions.
-    """
-    m = np.zeros((16, 16))
-    for l in range(4):
-        lp = _PARTNER[l]
-        m[_F + l, _N + lp] = 1.0
-        m[_G + l, _H + lp] = 1.0
-        m[_H + l, _G + lp] = 1.0
-        m[_N + l, _F + lp] = 1.0
-    return m
-
-
 def _mode_stack(mode: ModeLabel, dimension: int) -> np.ndarray:
     """The cached stack of ``mode`` for the 8- or 16-amplitude system."""
     if dimension == 8:
@@ -384,20 +361,6 @@ def constraint_matrix_derivative(mode: ModeLabel, omega: float) -> np.ndarray:
     """Exact omega-derivative of :func:`constraint_matrix`."""
     stack = _constraint_stack(mode.two_j, _reduced_delta(mode))
     return _weighted(_scalar_derivatives(mode, omega), stack, 4)
-
-
-def constraint_matrix_printed_variant(mode: ModeLabel, omega: float) -> np.ndarray:
-    """Constraint rows with the non-derivative radial-slot term dropped.
-
-    Kept only for the adjudication report: this transcription fails both
-    the brute-force assembly and the flow-invariance certificate.
-    """
-    _, t, _, inv_t, _ = _scalars(mode, omega)
-    slope = inv_t - t / 2.0
-    c = constraint_matrix(mode, omega).copy()
-    c[2, 2] += slope
-    c[3, 6] += slope
-    return c
 
 
 def constraint_rank(svals: np.ndarray) -> int:

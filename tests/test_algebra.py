@@ -1,11 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsdesitter import algebra
+from rsdesitter import algebra, cli
 
 SQ2 = np.sqrt(2.0)
+PAIRS = [(a, b) for a in range(4) for b in range(4) if a != b]
+# generator family -> public constructor copying its table slices
+CONSTRUCTORS = {
+    "bispinor": algebra.bispinor_generator,
+    "vector": algebra.vector_generator,
+    "cyclic": algebra.tilde_generator,
+}
 
 
 def test_gamma_entries_are_exact_unit_values():
@@ -184,11 +196,14 @@ def test_generator_index_validation(a, b):
     if valid:
         algebra.vector_generator(a, b)
         algebra.bispinor_generator(a, b)
+        algebra.tilde_generator(a, b)
     else:
         with pytest.raises(ValueError):
             algebra.vector_generator(a, b)
         with pytest.raises(ValueError):
             algebra.bispinor_generator(a, b)
+        with pytest.raises(ValueError):
+            algebra.tilde_generator(a, b)
 
 
 def test_gamma_index_validation():
@@ -196,3 +211,179 @@ def test_gamma_index_validation():
         algebra.gamma_matrix(4)
     with pytest.raises(ValueError):
         algebra.gamma_matrix(-1)
+
+
+def test_generator_tables_are_read_only_with_zero_diagonal():
+    for family, n in (("bispinor", 4), ("vector", 4), ("cyclic", 4), ("tilde", 16)):
+        table = algebra.generator_table(family)
+        assert table.shape == (4, 4, n, n)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 1, 0, 0] = 1.0
+        for a in range(4):
+            assert not table[a, a].any()
+        assert algebra.generator_table(family) is table
+    with pytest.raises(ValueError):
+        algebra.generator_table("spinor")
+
+
+def test_generator_tables_follow_the_defining_formulas():
+    eye = np.eye(4)
+    u = algebra.cyclic_transform()
+    for a, b in PAIRS:
+        ga, gb = algebra.gamma_matrix(a), algebra.gamma_matrix(b)
+        sigma = 0.25 * (ga @ gb - gb @ ga)
+        j = np.zeros((4, 4), dtype=complex)
+        j[a, b], j[b, a] = algebra.METRIC[b, b], -algebra.METRIC[a, a]
+        cyclic = u @ j @ u.conj().T
+        assert np.array_equal(algebra.generator_table("bispinor")[a, b], sigma)
+        assert np.array_equal(algebra.generator_table("vector")[a, b], j)
+        assert np.array_equal(algebra.generator_table("cyclic")[a, b], cyclic)
+        full = np.kron(sigma, eye) + np.kron(eye, cyclic)
+        assert np.array_equal(algebra.generator_table("tilde")[a, b], full)
+
+
+def test_constructors_return_fresh_copies_of_table_slices():
+    for family, make in CONSTRUCTORS.items():
+        table = algebra.generator_table(family)
+        for a, b in PAIRS:
+            g = make(a, b)
+            assert g.flags.writeable
+            assert g.dtype == table.dtype and g.tobytes() == table[a, b].tobytes()
+            assert not np.shares_memory(g, table)
+            g[...] = 7.0
+            assert make(a, b).tobytes() == table[a, b].tobytes()
+    for a in range(4):
+        g = algebra.gamma_matrix(a)
+        kept = g.copy()
+        assert g.flags.writeable
+        g[...] = 7.0
+        assert np.array_equal(algebra.gamma_matrix(a), kept)
+
+
+def test_importing_the_cli_builds_no_table():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import rsdesitter.cli, rsdesitter.algebra as a; "
+        "print(a.generator_table.cache_info().currsize)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "0"
+
+
+def _per_pair_lorentz_residual(family):
+    """Commutators checked one (a, b), (c, d) pair at a time, each generator rebuilt."""
+
+    def gen(a, b):
+        if a == b:
+            n = 4 if family in ("bispinor", "vector") else 16
+            return np.zeros((n, n), dtype=complex)
+        if family == "bispinor":
+            return algebra.bispinor_generator(a, b)
+        if family == "vector":
+            return algebra.vector_generator(a, b)
+        return np.kron(algebra.bispinor_generator(a, b), np.eye(4)) + np.kron(
+            np.eye(4), algebra.tilde_generator(a, b)
+        )
+
+    metric = algebra.METRIC
+    worst = 0.0
+    for a, b in PAIRS:
+        gab = gen(a, b)
+        for c, d in PAIRS:
+            lhs = gab @ gen(c, d) - gen(c, d) @ gab
+            rhs = (
+                metric[a, d] * gen(b, c)
+                + metric[b, c] * gen(a, d)
+                - metric[a, c] * gen(b, d)
+                - metric[b, d] * gen(a, c)
+            )
+            worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
+
+
+def _per_component_momentum_residual(n_points, seed):
+    """Conjugated total momentum with every derivative taken anew per component."""
+    rng = np.random.default_rng(seed)
+    h = 1e-6
+    k = np.arange(16)
+
+    def section(theta, phi):
+        return np.cos((k + 1) * 0.3 * theta + 0.1 * k) * np.exp(
+            1j * 0.2 * (k % 3) * phi
+        ) + 0.3 * k * np.sin(theta)
+
+    def orbital(i, fun, theta, phi):
+        dth = (fun(theta + h, phi) - fun(theta - h, phi)) / (2 * h)
+        dph = (fun(theta, phi + h) - fun(theta, phi - h)) / (2 * h)
+        ct = 1.0 / np.tan(theta)
+        if i == 1:
+            return 1j * (np.sin(phi) * dth + ct * np.cos(phi) * dph)
+        if i == 2:
+            return 1j * (-np.cos(phi) * dth + ct * np.sin(phi) * dph)
+        return -1j * dph
+
+    def rotated(tt, pp):
+        return algebra.schrodinger_rotation_inverse(tt, pp) @ section(tt, pp)
+
+    s3 = algebra.spin_matrix(3)
+    worst = 0.0
+    for _ in range(n_points):
+        th = rng.uniform(0.3, np.pi - 0.3)
+        ph = rng.uniform(0.0, 2 * np.pi)
+        f = section(th, ph)
+        for i in (1, 2, 3):
+            conj = algebra.schrodinger_rotation(th, ph) @ (
+                orbital(i, rotated, th, ph) + algebra.spin_matrix(i) @ rotated(th, ph)
+            )
+            if i == 1:
+                expect = orbital(1, section, th, ph) + (np.cos(ph) / np.sin(th)) * (s3 @ f)
+            elif i == 2:
+                expect = orbital(2, section, th, ph) + (np.sin(ph) / np.sin(th)) * (s3 @ f)
+            else:
+                expect = orbital(3, section, th, ph)
+            worst = max(worst, float(np.abs(conj - expect).max()))
+    return worst
+
+
+@pytest.mark.parametrize("family", ["bispinor", "vector", "tilde"])
+def test_contracted_lorentz_residual_equals_per_pair_loop(family):
+    assert algebra.lorentz_algebra_residual(family) == _per_pair_lorentz_residual(family)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shared_partials_momentum_residual_equals_per_component_loop(seed):
+    assert algebra.total_momentum_conjugation_residual(
+        n_points=20, seed=seed
+    ) == _per_component_momentum_residual(20, seed)
+
+
+@pytest.mark.parametrize("family", ["bispinor", "vector", "tilde"])
+def test_lorentz_residual_sees_one_perturbed_entry(family, monkeypatch):
+    bad = algebra.generator_table(family).copy()
+    bad[1, 2, 0, 1] += 1e-3
+    monkeypatch.setattr(algebra, "generator_table", lambda fam: bad)
+    assert algebra.lorentz_algebra_residual(family) > 1e-4
+
+
+def test_verify_algebra_builds_each_table_once(monkeypatch):
+    algebra.generator_table.cache_clear()
+    built = []
+    formula = algebra._generator
+
+    def counting(family, a, b):
+        built.append(family)
+        return formula(family, a, b)
+
+    monkeypatch.setattr(algebra, "_generator", counting)
+    counts = []
+    for _ in range(2):
+        before = len(built)
+        cli.run_verify_algebra(cli.Manifest("verify algebra", {}))
+        counts.append(len(built) - before)
+    # bispinor, vector, tilde and the cyclic table the tilde one is built from
+    assert counts == [4 * len(PAIRS), 0]

@@ -274,6 +274,8 @@ def test_trace_csv_matches_per_element_format():
         errors=np.zeros(5),
     )
     assert cli._trace_csv(trace) == _csv_by_element(trace)
+    for x in np.concatenate((specials, [np.inf, -np.inf, np.nan])):
+        assert cli._fmt(x) == format(float(x), ".17g")
     mode = ModeLabel(j=0.5, m_j=0.5, eps=1.3, mass=0.7, delta=1)
     zero = solver.integrate(
         radial.RadialSystem(mode=mode), radial.ConstraintSet(mode=mode), 0.3, 1.2,
@@ -299,3 +301,15 @@ def test_integrate_manifest_records_run_stats(tmp_path):
     assert first["accepted_steps"] == len(rows) - 1
     assert first["rhs_evals"] == 1 + 6 * (first["accepted_steps"] + first["rejected_steps"])
     assert 0.0 < first["min_step"] <= first["max_step"]
+
+
+def test_integrate_inward_from_horizon_launch(tmp_path):
+    args = ["integrate", "--j", "3/2", "--delta", "+1", "--eps", "1.3", "--mass", "0.7",
+            "--from", "1.5", "--to", "0.5", "--launch", "3", "--out", str(tmp_path)]
+    assert run(args) == 0
+    rows = (tmp_path / "integrate.csv").read_text().strip().splitlines()[1:]
+    omegas = np.array([float(row.split(",")[0]) for row in rows])
+    assert omegas[0] == 1.5 and abs(omegas[-1] - 0.5) < 1e-12
+    assert np.all(np.diff(omegas) < 0.0)
+    manifest = json.loads((tmp_path / "integrate.manifest.json").read_text())
+    assert manifest["stats"]["accepted_steps"] == len(rows) - 1

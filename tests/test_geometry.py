@@ -116,3 +116,103 @@ def test_tetrad_divergences_pole_rejected():
     pt = RadialPoint.from_omega(0.7)
     with pytest.raises(ValueError):
         geometry.tetrad_divergences(pt, 0.0)
+
+
+def _loop_christoffels(r, theta, h=1e-5):
+    g_inv = np.linalg.inv(geometry._metric_at(r, theta))
+    dg = geometry._metric_partials(r, theta, h)
+    gam = np.zeros((4, 4, 4))
+    for lam in range(4):
+        for mu in range(4):
+            for nu in range(4):
+                acc = 0.0
+                for rho in range(4):
+                    acc += g_inv[lam, rho] * (
+                        dg[mu, rho, nu] + dg[nu, rho, mu] - dg[rho, mu, nu]
+                    )
+                gam[lam, mu, nu] = 0.5 * acc
+    return gam
+
+
+def _loop_tetrad_nabla(r, theta, h=1e-5):
+    gam = _loop_christoffels(r, theta, h)
+
+    def lowered(rr, tt):
+        return (geometry._metric_at(rr, tt) @ geometry._tetrad_at(rr, tt).T).T
+
+    e_low = lowered(r, theta)
+    de = np.zeros((4, 4, 4))
+    de[1] = (lowered(r + h, theta) - lowered(r - h, theta)) / (2 * h)
+    de[2] = (lowered(r, theta + h) - lowered(r, theta - h)) / (2 * h)
+    nabla = np.zeros((4, 4, 4))
+    for alpha in range(4):
+        for b in range(4):
+            for beta in range(4):
+                nabla[alpha, b, beta] = de[alpha, b, beta] - np.dot(
+                    gam[:, alpha, beta], e_low[b, :]
+                )
+    return nabla
+
+
+def _loop_connections(point, theta, h=1e-5):
+    nabla = _loop_tetrad_nabla(point.r, theta, h)
+    e_up = geometry._tetrad_at(point.r, theta)
+    gammas, ells = [], []
+    for alpha in range(4):
+        coeff = np.zeros((4, 4))
+        for a in range(4):
+            for b in range(4):
+                coeff[a, b] = np.dot(e_up[a, :], nabla[alpha, b, :])
+        gam = np.zeros((4, 4), dtype=complex)
+        ell = np.zeros((4, 4), dtype=complex)
+        for a in range(4):
+            for b in range(4):
+                if a == b:
+                    continue
+                gam += 0.5 * coeff[a, b] * algebra.bispinor_generator(a, b)
+                ell += 0.5 * coeff[a, b] * algebra.vector_generator(a, b)
+        gammas.append(gam)
+        ells.append(ell)
+    return gammas, ells
+
+
+def _seeded_points(n=10, seed=11):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        yield RadialPoint.from_omega(rng.uniform(0.15, 1.35)), rng.uniform(0.3, np.pi - 0.3)
+
+
+def _rel(a, b):
+    return np.abs(np.asarray(a) - np.asarray(b)).max() / np.abs(np.asarray(b)).max()
+
+
+def test_contracted_oracles_match_the_index_loops():
+    for pt, theta in _seeded_points():
+        assert _rel(geometry.christoffels_fd(pt.r, theta), _loop_christoffels(pt.r, theta)) <= 1e-15
+        nabla = geometry._tetrad_covariant_derivatives(pt.r, theta, 1e-5)
+        assert _rel(nabla, _loop_tetrad_nabla(pt.r, theta)) <= 1e-15
+        fd_g, fd_l = geometry.connections_fd(pt, theta)
+        loop_g, loop_l = _loop_connections(pt, theta)
+        assert _rel(fd_g, loop_g) <= 1e-15
+        assert _rel(fd_l, loop_l) <= 1e-15
+
+
+def test_christoffels_fd_match_the_static_metric():
+    # the O(h^2) truncation error grows toward the horizon (5.6e-9 at r = 0.8,
+    # 7.7e-7 at r = 0.96), so the 1e-8 bound is checked for r <= 0.8
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        r, theta = rng.uniform(0.1, 0.8), rng.uniform(0.3, np.pi - 0.3)
+        p = 1.0 - r * r
+        st, ct = np.sin(theta), np.cos(theta)
+        exact = np.zeros((4, 4, 4))  # [lam, mu, nu], coordinates (t, r, theta, phi)
+        exact[0, 0, 1] = exact[0, 1, 0] = -r / p
+        exact[1, 0, 0] = -r * p
+        exact[1, 1, 1] = r / p
+        exact[1, 2, 2] = -r * p
+        exact[1, 3, 3] = -r * p * st**2
+        exact[2, 1, 2] = exact[2, 2, 1] = 1.0 / r
+        exact[2, 3, 3] = -st * ct
+        exact[3, 1, 3] = exact[3, 3, 1] = 1.0 / r
+        exact[3, 2, 3] = exact[3, 3, 2] = ct / st
+        assert np.abs(geometry.christoffels_fd(r, theta) - exact).max() <= 1e-8

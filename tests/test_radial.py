@@ -13,6 +13,43 @@ def _mode(j=1.5, eps=1.3, mass=0.7, delta=None):
     return ModeLabel(j=j, m_j=0.5, eps=eps, mass=mass, delta=delta)
 
 
+def build_dA8(mode, omega):
+    """Exact omega-derivative of the reduced coefficient matrix."""
+    stack = radial._system_stack(mode.two_j, radial._reduced_delta(mode), 8)
+    return radial._weighted(radial._scalar_derivatives(mode, omega), stack, 8)
+
+
+def amplitude_parity_matrix():
+    """16x16 amplitude-level inversion with eigenvalues +-1.
+
+    The embedding columns of ``radial.parity_embed`` are eigenvectors with
+    eigenvalue delta; the matrix is the composition of the combined
+    inversion operator with the helicity flip of the slot functions.
+    """
+    m = np.zeros((16, 16))
+    f, g, h, n = 0, 4, 8, 12
+    for l, lp in enumerate((0, 3, 2, 1)):
+        m[f + l, n + lp] = 1.0
+        m[g + l, h + lp] = 1.0
+        m[h + l, g + lp] = 1.0
+        m[n + l, f + lp] = 1.0
+    return m
+
+
+def constraint_matrix_printed_variant(mode, omega):
+    """Constraint rows with the non-derivative radial-slot term dropped.
+
+    This transcription fails both the brute-force assembly and the
+    flow-invariance certificate.
+    """
+    _, t, _, inv_t, _ = radial._scalars(mode, omega)
+    slope = inv_t - t / 2.0
+    c = radial.constraint_matrix(mode, omega).copy()
+    c[2, 2] += slope
+    c[3, 6] += slope
+    return c
+
+
 def test_energy_diagonal_entry():
     omega = 0.7
     a16 = radial.build_A16(_mode(), omega)
@@ -50,7 +87,7 @@ def test_parity_embed_columns():
 
 
 def test_embedded_states_eigenvectors_of_amplitude_parity():
-    m = radial.amplitude_parity_matrix()
+    m = amplitude_parity_matrix()
     assert np.array_equal(m @ m, np.eye(16))
     rng = np.random.default_rng(2)
     for delta in (1, -1):
@@ -204,12 +241,12 @@ def test_flow_invariance_of_constraint_surface():
 def test_printed_variant_rows_are_not_flow_invariant():
     mode = _mode(j=1.5, delta=+1)
     omega = 0.7
-    c = radial.constraint_matrix_printed_variant(mode, omega)
+    c = constraint_matrix_printed_variant(mode, omega)
     a8 = radial.build_A8(mode, omega)
     h = 1e-6
     dc = (
-        radial.constraint_matrix_printed_variant(mode, omega + h)
-        - radial.constraint_matrix_printed_variant(mode, omega - h)
+        constraint_matrix_printed_variant(mode, omega + h)
+        - constraint_matrix_printed_variant(mode, omega - h)
     ) / (2 * h)
     total = dc + c @ a8
     lam = total @ np.linalg.pinv(c)
@@ -296,7 +333,7 @@ def test_stack_products_match_per_table_formula(j, delta, omega, eps, mass):
     values, derivatives = _scalar_weights(eps, mass, omega)
     assert _rel(radial.build_A16(mode, omega), _per_table(t16, values, _SIGN16)) <= 1e-15
     assert _rel(radial.build_A8(mode, omega), _per_table(t8, values, _SIGN8)) <= 1e-15
-    assert _rel(radial.build_dA8(mode, omega), _per_table(t8, derivatives, _SIGN8)) <= 1e-15
+    assert _rel(build_dA8(mode, omega), _per_table(t8, derivatives, _SIGN8)) <= 1e-15
     for dim, tables, sign in ((8, t8, _SIGN8), (16, t16, _SIGN16)):
         origin, horizon = radial.singular_residues(mode, dim)
         assert _rel(origin, _per_table(tables, (0, 0, 1, 1, 0), sign)) <= 1e-15
@@ -342,7 +379,7 @@ def test_constraint_stack_matches_row_formula(j, delta, omega, eps, mass):
     assert _rel(radial.constraint_matrix(mode, omega), expected) <= 1e-15
 
     expected_d = np.zeros((4, 8), dtype=complex)
-    da8 = radial.build_dA8(mode, omega)
+    da8 = build_dA8(mode, omega)
     dl1, dl2 = _divergence_rows(mode, derivatives)
     expected_d[2], expected_d[3] = dl1 - da8[2], dl2 - da8[6]
     assert _rel(radial.constraint_matrix_derivative(mode, omega), expected_d) <= 1e-15
@@ -374,7 +411,7 @@ def test_returned_matrices_are_fresh_copies():
     calls = (
         lambda: radial.build_A8(mode, 0.6),
         lambda: radial.build_A16(mode, 0.6),
-        lambda: radial.build_dA8(mode, 0.6),
+        lambda: build_dA8(mode, 0.6),
         lambda: radial.constraint_matrix(mode, 0.6),
         lambda: radial.constraint_matrix_derivative(mode, 0.6),
         lambda: radial.singular_residues(mode)[1],
