@@ -297,17 +297,16 @@ def _mode_from_args(args) -> ModeLabel:
     m_j = parse_half_integer(args.m, "--m") if getattr(args, "m", None) else min(
         j, Fraction(1, 2)
     )
-    delta = None
-    if getattr(args, "delta", None) is not None:
-        if args.delta not in ("+1", "-1", "1"):
-            raise ValueError("--delta must be +1 or -1")
-        delta = 1 if args.delta in ("+1", "1") else -1
+    if getattr(args, "delta", None) is None:
+        raise ValueError("--delta is required (flag or config file)")
+    if args.delta not in ("+1", "-1", "1"):
+        raise ValueError("--delta must be +1 or -1")
     return ModeLabel(
         j=float(j),
         m_j=float(m_j),
         eps=parse_complex(getattr(args, "eps", "0") or "0"),
         mass=float(getattr(args, "mass", 0.0) or 0.0),
-        delta=delta,
+        delta=1 if args.delta in ("+1", "1") else -1,
     )
 
 
@@ -317,8 +316,6 @@ def _complex_matrix_json(mat: np.ndarray) -> list[list[list[str]]]:
 
 def run_reduce(args, outdir: str) -> int:
     mode = _mode_from_args(args)
-    if mode.delta is None:
-        raise ValueError("reduce requires --delta")
     omega = float(args.omega)
     a8 = radial.build_A8(mode, omega)
     cons = radial.constraint_matrix(mode, omega)
@@ -342,8 +339,6 @@ def run_reduce(args, outdir: str) -> int:
 
 def run_indices(args, outdir: str) -> int:
     mode = _mode_from_args(args)
-    if mode.delta is None:
-        raise ValueError("indices requires --delta")
     system = radial.RadialSystem(mode=mode, dimension=8)
     manifest = Manifest("indices", vars(args))
     payload = {}
@@ -398,11 +393,9 @@ def _run_stats(trace: solver.SolutionTrace) -> dict:
     }
 
 
-def _integrate_inputs(args) -> tuple[ModeLabel, float, float, float]:
-    """Validated (mode, from, to, tol) of one integration; ValueError if bad."""
+def _integrate_inputs(args) -> tuple[ModeLabel, float, float, float, int | None]:
+    """Validated (mode, from, to, tol, launch index) of one integration; ValueError if bad."""
     mode = _mode_from_args(args)
-    if mode.delta is None:
-        raise ValueError("integrate requires --delta")
     if args.frm is None or args.to is None:
         raise ValueError("--from and --to are required (flag or config file)")
     w_from, w_to, tol = float(args.frm), float(args.to), float(args.tol)
@@ -410,21 +403,30 @@ def _integrate_inputs(args) -> tuple[ModeLabel, float, float, float]:
         raise ValueError("--from/--to must lie inside (0, pi/2)")
     if not 1e-14 <= tol <= 1e-4:
         raise ValueError("--tol must lie in [1e-14, 1e-4]")
-    return mode, w_from, w_to, tol
+    launch = None
+    if args.launch is not None:
+        try:
+            launch = int(args.launch)
+        except ValueError:
+            pass
+        # the reduced system has eight exponents per endpoint
+        if launch is None or not 0 <= launch < 8:
+            raise ValueError(f"--launch must be an exponent index 0..7, got {args.launch!r}")
+    return mode, w_from, w_to, tol, launch
 
 
 def run_integrate(args, outdir: str, tag: str = "integrate") -> int:
-    mode, w_from, w_to, tol = _integrate_inputs(args)
+    mode, w_from, w_to, tol, launch_index = _integrate_inputs(args)
     system = radial.RadialSystem(mode=mode, dimension=8)
     cons = radial.ConstraintSet(mode=mode)
     manifest = Manifest(tag, vars(args))
 
     zero = tuple(k for k in forced_zero_slots(mode) if k < 8)
-    if args.launch is not None:
+    if launch_index is not None:
         endpoint = "origin" if w_from <= np.pi / 4 else "horizon"
         ind = solver.frobenius(system, endpoint)
         offset = w_from if endpoint == "origin" else np.pi / 2 - w_from
-        launch = solver.endpoint_launch(system, ind, int(args.launch), offset=offset)
+        launch = solver.endpoint_launch(system, ind, launch_index, offset=offset)
         y0 = launch.state
         if launch.resonant:
             manifest.warn("resonant exponent: first-order correction is least-squares")

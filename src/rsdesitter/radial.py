@@ -13,10 +13,12 @@ closed-form residues.
 
 The constant matrices depend on j (and delta) alone, so they are built
 once per (j, delta, dimension) into a read-only (5, n*n) stack held in a
-bounded cache; the coefficient matrix, its omega-derivative, the endpoint
-residues and subleading terms, and the divergence constraint rows are all
-products of five scalar weights with such a stack, and many omegas take
-one (k, 5) @ (5, .) product.
+bounded cache.  One routine computes the five weights, at one omega or at
+each omega of an array, as a (k, 5) table; the coefficient matrices and
+the divergence constraint rows at those omegas are one (k, 5) @ stack
+product, and a single point is the k = 1 case.  The omega-derivative of
+the constraint rows and the endpoint residues and subleading terms are
+fixed weight vectors on the same stacks.
 
 Diagonalizing spatial inversion halves the system: amplitudes (h, nu) are
 tied to (g, f) by the sign delta, and the reduced 8x8 generator equals the
@@ -129,26 +131,13 @@ def _reduced_delta(mode: ModeLabel) -> int:
     return mode.delta
 
 
-def _scalars(mode: ModeLabel, omega: float):
-    """Weights (E, T, 1/sin, 1/tan, m) at one omega."""
-    if not 0.0 < omega < _HALF_PI:
-        raise ValueError(f"omega must lie in (0, pi/2), got {omega}")
-    return (
-        mode.eps / np.cos(omega),
-        np.tan(omega),
-        1.0 / np.sin(omega),
-        1.0 / np.tan(omega),
-        float(mode.mass),
-    )
+def _scalar_rows(mode: ModeLabel, omegas) -> np.ndarray:
+    """(k, 5) complex weights (E, T, 1/sin, 1/tan, m), one row per omega.
 
-
-def _scalar_rows(mode: ModeLabel, omegas: np.ndarray) -> np.ndarray:
-    """(k, 5) complex weights (E, T, 1/sin, 1/tan, m), one row per omega of a 1-d array.
-
-    Each row repeats the operations of :func:`_scalars` at that omega; E is
-    divided componentwise, as Python divides a complex by a float, so the
-    rows match the single-point weights wherever array and scalar trig agree.
+    ``omegas`` is a scalar (k = 1) or a 1-d array.  E is divided
+    componentwise, as Python divides a complex by a float.
     """
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     if not (omegas.min() > 0.0 and omegas.max() < _HALF_PI):
         raise ValueError(f"omega must lie in (0, pi/2), got {omegas}")
     cos, sin, tan = np.cos(omegas), np.sin(omegas), np.tan(omegas)
@@ -164,14 +153,19 @@ def _scalar_rows(mode: ModeLabel, omegas: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _scalar_derivatives(mode: ModeLabel, omega):
-    e, t, inv_s, inv_t, _ = _scalars(mode, omega)
-    return (e * t, 1.0 + t * t, -inv_s * inv_t, -inv_s * inv_s, 0.0)
+def _mode_stack(mode: ModeLabel, dimension: int) -> np.ndarray:
+    """The cached stack of ``mode`` for the 8- or 16-amplitude system."""
+    if dimension == 8:
+        return _system_stack(mode.two_j, _reduced_delta(mode), 8)
+    if dimension == 16:
+        return _system_stack(mode.two_j, None, 16)
+    raise ValueError("dimension must be 8 or 16")
 
 
-def _weighted(weights, stack: np.ndarray, rows: int) -> np.ndarray:
-    """Fresh matrix sum_k weights[k] * stack[k] with ``rows`` rows."""
-    return (np.array(weights, dtype=complex) @ stack).reshape(rows, -1)
+def _system_matrices(mode: ModeLabel, omegas, dimension: int) -> np.ndarray:
+    """A at a scalar or 1-d array of omegas: (k, n, n) from one (k, 5) @ (5, n*n) product."""
+    stack = _mode_stack(mode, dimension)
+    return (_scalar_rows(mode, omegas) @ stack).reshape(-1, dimension, dimension)
 
 
 def build_A16(mode: ModeLabel, omega: float) -> np.ndarray:
@@ -181,7 +175,7 @@ def build_A16(mode: ModeLabel, omega: float) -> np.ndarray:
     slots on which printed transcriptions of the system disagree carry the
     values fixed by :func:`assemble_from_angular`.
     """
-    return _weighted(_scalars(mode, omega), _system_stack(mode.two_j, None, 16), 16)
+    return _system_matrices(mode, omega, 16)[0]
 
 
 def parity_embed(delta: int) -> np.ndarray:
@@ -208,17 +202,7 @@ def build_A8(mode: ModeLabel, omega: float) -> np.ndarray:
     Satisfies A16(omega) P_delta = P_delta A8(omega) exactly, and flipping
     delta is the same as flipping the sign of the mass.
     """
-    stack = _system_stack(mode.two_j, _reduced_delta(mode), 8)
-    return _weighted(_scalars(mode, omega), stack, 8)
-
-
-def _mode_stack(mode: ModeLabel, dimension: int) -> np.ndarray:
-    """The cached stack of ``mode`` for the 8- or 16-amplitude system."""
-    if dimension == 8:
-        return _system_stack(mode.two_j, _reduced_delta(mode), 8)
-    if dimension == 16:
-        return _system_stack(mode.two_j, None, 16)
-    raise ValueError("dimension must be 8 or 16")
+    return _system_matrices(mode, omega, 8)[0]
 
 
 def endpoint_laurent(mode: ModeLabel, endpoint: str, dimension: int = 8):
@@ -239,9 +223,9 @@ def endpoint_laurent(mode: ModeLabel, endpoint: str, dimension: int = 8):
     }
     if endpoint not in weights:
         raise ValueError(f"endpoint must be 'origin' or 'horizon', got {endpoint!r}")
-    stack = _mode_stack(mode, dimension)
-    residue, constant = weights[endpoint]
-    return _weighted(residue, stack, dimension), _weighted(constant, stack, dimension)
+    pair = np.array(weights[endpoint], dtype=complex) @ _mode_stack(mode, dimension)
+    residue, constant = pair.reshape(2, dimension, dimension)
+    return residue, constant
 
 
 def singular_residues(mode: ModeLabel, dimension: int = 8):
@@ -267,23 +251,12 @@ class RadialSystem:
         if self.dimension == 8 and self.mode.delta not in (1, -1):
             raise ValueError("the reduced system needs a delta in the mode label")
 
-    @property
-    def singular_points(self) -> tuple[float, float]:
-        return (0.0, 0.5 * np.pi)
-
     def matrix(self, omega: float) -> np.ndarray:
-        if self.dimension == 8:
-            return build_A8(self.mode, omega)
-        return build_A16(self.mode, omega)
+        return _system_matrices(self.mode, omega, self.dimension)[0]
 
     def matrices(self, omegas: np.ndarray) -> np.ndarray:
-        """A at every omega of a 1-d float array: (k, n, n) from one (k, 5) @ (5, n*n) product.
-
-        Same formula and cached stack as :meth:`matrix`, whose single-point
-        route stays the cheaper one for one omega.
-        """
-        n, omegas = self.dimension, np.asarray(omegas, dtype=float)
-        return (_scalar_rows(self.mode, omegas) @ _mode_stack(self.mode, n)).reshape(-1, n, n)
+        """A at every omega of a 1-d float array: (k, n, n) from one (k, 5) @ (5, n*n) product."""
+        return _system_matrices(self.mode, omegas, self.dimension)
 
     def laurent(self, endpoint: str) -> tuple[np.ndarray, np.ndarray]:
         """(residue, subleading) of A at ``endpoint``; see :func:`endpoint_laurent`."""
@@ -346,6 +319,14 @@ def _constraint_stack(two_j: int, delta: int) -> np.ndarray:
     return stack
 
 
+def _constraint_matrices(mode: ModeLabel, omegas) -> np.ndarray:
+    """C at a scalar or 1-d array of omegas: (k, 4, 8) from one (k, 5) @ (5, 32) product."""
+    stack = _constraint_stack(mode.two_j, _reduced_delta(mode))
+    c = (_scalar_rows(mode, omegas) @ stack).reshape(-1, 4, 8)
+    c += _TRACE_ROWS
+    return c
+
+
 def constraint_matrix(mode: ModeLabel, omega: float) -> np.ndarray:
     """4x8 constraint rows on the reduced state Y = (f0..f3, g0..g3).
 
@@ -353,14 +334,15 @@ def constraint_matrix(mode: ModeLabel, omega: float) -> np.ndarray:
     divergence relations with the radial derivatives eliminated through
     the flow, hence purely algebraic functionals of Y.
     """
-    stack = _constraint_stack(mode.two_j, _reduced_delta(mode))
-    return _TRACE_ROWS + _weighted(_scalars(mode, omega), stack, 4)
+    return _constraint_matrices(mode, omega)[0]
 
 
 def constraint_matrix_derivative(mode: ModeLabel, omega: float) -> np.ndarray:
     """Exact omega-derivative of :func:`constraint_matrix`."""
     stack = _constraint_stack(mode.two_j, _reduced_delta(mode))
-    return _weighted(_scalar_derivatives(mode, omega), stack, 4)
+    e, t, inv_s, inv_t, _ = _scalar_rows(mode, omega)[0]
+    weights = np.array([e * t, 1.0 + t * t, -inv_s * inv_t, -inv_s * inv_s, 0.0])
+    return (weights @ stack).reshape(4, 8)
 
 
 def constraint_rank(svals: np.ndarray) -> int:
@@ -381,29 +363,22 @@ class ConstraintSet:
         return constraint_matrix_derivative(self.mode, omega)
 
     def residuals(self, omega: float, state: np.ndarray) -> np.ndarray:
-        """Normalized residuals |C_k . Y| / (|C_k| |Y|) of the four rows."""
-        c = self.matrix(omega)
-        ynorm = np.linalg.norm(state)
-        if ynorm == 0.0:
-            return np.zeros(4)
-        vals = np.abs(c @ state)
-        return vals / (np.linalg.norm(c, axis=1) * ynorm)
+        """Normalized residuals of the four rows at one point: a one-point :meth:`residuals_many`."""
+        return self.residuals_many([omega], [state])[0]
 
     def residuals_many(self, omegas, states) -> np.ndarray:
-        """:meth:`residuals` at k points at once: omegas (k,), states (k, 8) -> (k, 4).
+        """Normalized residuals |C_k . Y| / (|C_k| |Y|): omegas (k,), states (k, 8) -> (k, 4).
 
         Each block of points takes one (block, 5) @ (5, 32) product for its
         constraint matrices, then row norms; blocks keep the temporaries
-        small however long the trace.
+        small however long the trace.  A zero state has zero residuals.
         """
         omegas = np.asarray(omegas, dtype=float)
         states = np.asarray(states, dtype=complex)
-        stack = _constraint_stack(self.mode.two_j, _reduced_delta(self.mode))
         out = np.zeros((len(omegas), 4))
         for lo in range(0, len(omegas), _RESIDUAL_BLOCK):
             w, y = omegas[lo:lo + _RESIDUAL_BLOCK], states[lo:lo + _RESIDUAL_BLOCK]
-            c = (_scalar_rows(self.mode, w) @ stack).reshape(-1, 4, 8)
-            c += _TRACE_ROWS
+            c = _constraint_matrices(self.mode, w)
             vals = np.abs(np.einsum("kij,kj->ki", c, y))
             row_norms = np.sqrt(
                 np.einsum("kij,kij->ki", c.real, c.real)
@@ -450,7 +425,7 @@ def expected_lambda_first_rows(mode: ModeLabel, omega: float) -> np.ndarray:
     (-iE C1 + (a/sin + i m_eff) C2 + sqrt2 K1) and
     ((a/sin - i m_eff) C1 + iE C2 + sqrt2 K2).
     """
-    e, _, inv_s, _, m = _scalars(mode, omega)
+    e, _, inv_s, _, m = _scalar_rows(mode, omega)[0]
     a = mode.coefficients().a
     m_eff = mode.delta * m
     return np.array(

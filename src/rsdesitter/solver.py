@@ -105,7 +105,9 @@ class SolutionTrace:
     estimates.  ``rejected_steps`` counts the rejected attempts and
     ``rhs_evals`` the products A(omega) Y (one at the start, six per
     attempt).  ``evaluate`` interpolates with the integrator's dense
-    output (fourth-order accurate between samples).
+    output (fourth-order accurate between samples); row i of ``_dense``
+    holds the five coefficient vectors of the segment from ``omegas[i]``
+    over the step ``steps[i + 1]``.
     """
 
     omegas: np.ndarray
@@ -115,7 +117,7 @@ class SolutionTrace:
     errors: np.ndarray
     rejected_steps: int = 0
     rhs_evals: int = 0
-    _dense: list = field(default_factory=list, repr=False)
+    _dense: np.ndarray = field(default_factory=lambda: np.zeros((0, 5, 0)), repr=False)
 
     @property
     def n_steps(self) -> int:
@@ -133,15 +135,15 @@ class SolutionTrace:
         lo, hi = sorted((self.omegas[0], self.omegas[-1]))
         if not lo <= omega <= hi:
             raise ValueError(f"omega = {omega} outside the integrated range")
-        if not self._dense:
+        if len(self._dense) == 0:
             raise ValueError(f"no dense segment covers omega = {omega}")
         # segment i runs from omegas[i] to omegas[i + 1]; a shared end goes
         # to the earlier segment
         sign = 1.0 if self.omegas[-1] >= self.omegas[0] else -1.0
         i = int(np.searchsorted(sign * self.omegas, sign * omega, side="left")) - 1
-        w0, h, cont = self._dense[min(max(i, 0), len(self._dense) - 1)]
-        t = min(max((omega - w0) / h, 0.0), 1.0)
-        r1, r2, r3, r4, r5 = cont
+        i = min(max(i, 0), len(self._dense) - 1)
+        t = min(max((omega - self.omegas[i]) / self.steps[i + 1], 0.0), 1.0)
+        r1, r2, r3, r4, r5 = self._dense[i]
         return r1 + t * (r2 + (1 - t) * (r3 + t * (r4 + (1 - t) * r5)))
 
 
@@ -184,7 +186,7 @@ def integrate(
     n = y.size
 
     w = float(omega_start)
-    k_first = system.matrices(np.array([w]))[0] @ y
+    k_first = system.matrix(w) @ y
     omegas, states, steps, errors, stages = [w], [y], [0.0], [0.0], []
     rhs_evals, rejected = 1, 0
     err_prev = 1.0
@@ -256,16 +258,15 @@ def _finalize(
         residuals = np.zeros((len(omegas), 4))
     else:
         residuals = constraints.residuals_many(omegas, states)
-    dense = []
+    dense = np.zeros((0, 5, states.shape[1]), dtype=complex)
     if stages:
         k, h = np.array(stages), steps[1:, None]
         stages.clear()
         ydiff = states[1:] - states[:-1]
         bspl = h * k[:, 0] - ydiff
-        cont = np.stack(
+        dense = np.stack(
             (states[:-1], ydiff, bspl, ydiff - h * k[:, 6] - bspl, h * (_D @ k)), axis=1
         )
-        dense = list(zip(omegas[:-1].tolist(), steps[1:].tolist(), cont))
     return SolutionTrace(
         omegas=omegas,
         states=states,

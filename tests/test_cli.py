@@ -313,3 +313,22 @@ def test_integrate_inward_from_horizon_launch(tmp_path):
     assert np.all(np.diff(omegas) < 0.0)
     manifest = json.loads((tmp_path / "integrate.manifest.json").read_text())
     assert manifest["stats"]["accepted_steps"] == len(rows) - 1
+
+
+def test_delta_is_required(tmp_path, capsys):
+    mode = ["--j", "1/2", "--eps", "1.3", "--mass", "0.7", "--out", str(tmp_path)]
+    for command, extra in (("reduce", ["--omega", "0.5"]), ("indices", []),
+                           ("integrate", ["--from", "0.3", "--to", "1.0"])):
+        assert run([command] + mode + extra) == cli.USAGE_ERROR, command
+        assert "--delta is required" in capsys.readouterr().err, command
+    assert os.listdir(tmp_path) == []
+
+
+def test_integrate_launch_index_out_of_range(tmp_path, capsys):
+    base = ["integrate", "--j", "3/2", "--delta", "+1", "--eps", "1.3", "--mass", "0.7",
+            "--from", "1.5", "--to", "0.5", "--out", str(tmp_path)]
+    # -1 would index the last exponent; 99 is past the eight of the reduced system
+    for index in ("99", "-1", "8", "x"):
+        assert run(base + ["--launch", index]) == cli.USAGE_ERROR, index
+        assert "--launch must be an exponent index 0..7" in capsys.readouterr().err, index
+    assert os.listdir(tmp_path) == []

@@ -16,7 +16,8 @@ def _mode(j=1.5, eps=1.3, mass=0.7, delta=None):
 def build_dA8(mode, omega):
     """Exact omega-derivative of the reduced coefficient matrix."""
     stack = radial._system_stack(mode.two_j, radial._reduced_delta(mode), 8)
-    return radial._weighted(radial._scalar_derivatives(mode, omega), stack, 8)
+    _, derivatives = _scalar_weights(mode.eps, mode.mass, omega)
+    return (np.array(derivatives, dtype=complex) @ stack).reshape(8, 8)
 
 
 def amplitude_parity_matrix():
@@ -42,7 +43,7 @@ def constraint_matrix_printed_variant(mode, omega):
     This transcription fails both the brute-force assembly and the
     flow-invariance certificate.
     """
-    _, t, _, inv_t, _ = radial._scalars(mode, omega)
+    (_, t, _, inv_t, _), _ = _scalar_weights(mode.eps, mode.mass, omega)
     slope = inv_t - t / 2.0
     c = radial.constraint_matrix(mode, omega).copy()
     c[2, 2] += slope
@@ -385,6 +386,14 @@ def test_constraint_stack_matches_row_formula(j, delta, omega, eps, mass):
     assert _rel(radial.constraint_matrix_derivative(mode, omega), expected_d) <= 1e-15
 
 
+def pointwise_residuals(c, y):
+    """|C_k . y| / (|C_k| |y|) of each row of c, one point at a time; zero for y = 0."""
+    ynorm = np.linalg.norm(y)
+    if ynorm == 0.0:
+        return np.zeros(len(c))
+    return np.abs(c @ y) / (np.linalg.norm(c, axis=1) * ynorm)
+
+
 def test_residuals_many_matches_pointwise():
     rng = np.random.default_rng(21)
     for j in (0.5, 1.5, 2.5):
@@ -398,9 +407,13 @@ def test_residuals_many_matches_pointwise():
                 states[k] = null @ (null.conj().T @ states[k])
             states[-1] = 0.0
             batch = cons.residuals_many(omegas, states)
-            pointwise = np.array([cons.residuals(w, y) for w, y in zip(omegas, states)])
-            assert batch.shape == (300, 4)
+            pointwise = np.array(
+                [pointwise_residuals(cons.matrix(w), y) for w, y in zip(omegas, states)]
+            )
+            single = np.array([cons.residuals(w, y) for w, y in zip(omegas, states)])
+            assert batch.shape == single.shape == (300, 4)
             assert np.abs(batch - pointwise).max() <= 1e-15
+            assert np.abs(single - pointwise).max() <= 1e-15
             assert np.abs(batch[-1]).max() == 0.0
     with pytest.raises(ValueError):
         cons.residuals_many([0.3, 1.6], np.ones((2, 8)))
@@ -441,14 +454,21 @@ def test_table_cache_is_bounded_by_j_and_delta():
 
 @pytest.mark.parametrize("j", (0.5, 1.5, 2.5))
 def test_batched_matrices_match_single_point_route(j):
+    # every slice against the table-by-table formula at its own omega
     omegas = np.array([0.013, 0.3, 0.7, 1.1, 1.5, 1.557])
-    for delta, dim, build in ((1, 8, radial.build_A8), (-1, 8, radial.build_A8),
-                              (None, 16, radial.build_A16)):
-        mode = _mode(j=j, eps=1.3 - 0.6j, mass=0.7, delta=delta)
+    eps, mass = 1.3 - 0.6j, 0.7
+    t16 = radial._coefficient_tables_16(int(2 * j))
+    for delta, dim in ((1, 8), (-1, 8), (None, 16)):
+        if dim == 16:
+            tables, sign = t16, _SIGN16
+        else:
+            tables, sign = [t[:8] @ radial.parity_embed(delta) for t in t16], _SIGN8
+        mode = _mode(j=j, eps=eps, mass=mass, delta=delta)
         batch = radial.RadialSystem(mode=mode, dimension=dim).matrices(omegas)
         assert batch.shape == (len(omegas), dim, dim)
         for omega, a in zip(omegas, batch):
-            assert _rel(a, build(mode, omega)) <= 1e-15, (j, delta, omega)
+            values, _ = _scalar_weights(eps, mass, omega)
+            assert _rel(a, _per_table(tables, values, sign)) <= 1e-15, (j, delta, omega)
 
 
 def test_batched_matrices_parity_mass_duality_exact():

@@ -3,6 +3,7 @@ import pytest
 
 from rsdesitter import radial, solver
 from rsdesitter.ansatz import ModeLabel
+from test_radial import pointwise_residuals
 
 
 def _system(j=0.5, eps=1.3, mass=0.7, delta=1):
@@ -225,7 +226,7 @@ def test_integrate_validation():
 
 def _scan_evaluate(trace, omega):
     """Dense output by a linear scan: the first segment covering omega."""
-    for w0, h, cont in trace._dense:
+    for w0, h, cont in zip(trace.omegas[:-1], trace.steps[1:], trace._dense):
         t = (omega - w0) / h
         if -1e-12 <= t <= 1.0 + 1e-12:
             t = min(max(t, 0.0), 1.0)
@@ -257,7 +258,9 @@ def test_trace_residuals_match_pointwise_on_success_and_failure():
     partial = info.value.trace
     done = solver.integrate(system, cons, 0.3, 1.2, y0, tol=1e-8)
     for trace in (partial, done):
-        pointwise = [cons.residuals(w, y) for w, y in zip(trace.omegas, trace.states)]
+        pointwise = [
+            pointwise_residuals(cons.matrix(w), y) for w, y in zip(trace.omegas, trace.states)
+        ]
         assert trace.residuals.shape == (len(trace.omegas), 4)
         assert np.abs(trace.residuals - np.array(pointwise)).max() <= 1e-15
 
@@ -347,7 +350,9 @@ def _assert_matches_oracle(trace, oracle, case):
     assert np.abs(trace.omegas - omegas).max() <= 1e-14, case
     scale = np.abs(states).max(axis=1, keepdims=True)
     assert (np.abs(trace.states - states) / scale).max() <= 1e-12, case
-    for (w0, h, cont), (w0_ref, h_ref, cont_ref) in zip(trace._dense, dense):
+    assert trace._dense.shape == (len(dense), 5, states.shape[1]), case
+    segments = zip(trace.omegas[:-1], trace.steps[1:], trace._dense)
+    for (w0, h, cont), (w0_ref, h_ref, cont_ref) in zip(segments, dense):
         assert abs(w0 - w0_ref) <= 1e-14 and abs(h - h_ref) <= 1e-14, case
         assert np.abs(np.array(cont) - np.array(cont_ref)).max() <= 1e-12 * scale.max(), case
 
