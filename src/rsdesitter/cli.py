@@ -11,7 +11,8 @@ indices
 integrate
     one radial integration; CSV trace plus JSON manifest
 sweep
-    independent integrations over parameter lists, run in parallel
+    independent integrations over parameter lists, run in-process as one
+    batched integration; every job is integrated before any file is written
 
 Every command writes a JSON manifest naming each emitted data file with a
 sha256 content hash, the tolerances applied, and the table of coefficient
@@ -31,8 +32,8 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -415,7 +416,21 @@ def _integrate_inputs(args) -> tuple[ModeLabel, float, float, float, int | None]
     return mode, w_from, w_to, tol, launch
 
 
-def run_integrate(args, outdir: str, tag: str = "integrate") -> int:
+class _Job(NamedTuple):
+    """One integration, launched and with its manifest started, ready to run."""
+
+    tag: str
+    system: radial.RadialSystem
+    constraints: radial.ConstraintSet
+    w_from: float
+    w_to: float
+    tol: float
+    y0: np.ndarray
+    manifest: Manifest
+
+
+def _prepare_job(args, tag: str) -> _Job:
+    """Validate one integration and build its launch state and manifest."""
     mode, w_from, w_to, tol, launch_index = _integrate_inputs(args)
     system = radial.RadialSystem(mode=mode, dimension=8)
     cons = radial.ConstraintSet(mode=mode)
@@ -441,78 +456,87 @@ def run_integrate(args, outdir: str, tag: str = "integrate") -> int:
             f"initial state violates the constraints (residual {launch_resid:.3e}); "
             "residual columns will be nonzero"
         )
+    return _Job(tag, system, cons, w_from, w_to, tol, y0, manifest)
 
-    try:
-        trace = solver.integrate(system, cons, w_from, w_to, y0, tol=tol)
-    except (solver.SingularityError, solver.ToleranceError) as exc:
-        if isinstance(exc, solver.SingularityError) and exc.trace is not None:
-            manifest.data["stats"] = _run_stats(exc.trace)
-        manifest.warn(f"integration failed: {exc}")
+
+def _write_job(job: _Job, outcome, outdir: str) -> int:
+    """Write a job's CSV and manifest, or only its manifest if ``outcome`` is an error."""
+    manifest = job.manifest
+    if isinstance(outcome, Exception):
+        if isinstance(outcome, solver.SingularityError) and outcome.trace is not None:
+            manifest.data["stats"] = _run_stats(outcome.trace)
+        manifest.warn(f"integration failed: {outcome}")
         manifest.data["status"] = "numerical-failure"
-        manifest.write(os.path.join(outdir, f"{tag}.manifest.json"))
+        manifest.write(os.path.join(outdir, f"{job.tag}.manifest.json"))
         return NUMERICAL_ERROR
 
-    manifest.data["stats"] = _run_stats(trace)
-    path = os.path.join(outdir, f"{tag}.csv")
-    atomic_write(path, _trace_csv(trace))
+    manifest.data["stats"] = _run_stats(outcome)
+    path = os.path.join(outdir, f"{job.tag}.csv")
+    atomic_write(path, _trace_csv(outcome))
     manifest.add_output(path, "solution-trace")
-    manifest.write(os.path.join(outdir, f"{tag}.manifest.json"))
+    manifest.write(os.path.join(outdir, f"{job.tag}.manifest.json"))
     return 0
 
 
-def _sweep_job(payload: tuple) -> tuple[str, int]:
-    namespace, outdir, tag = payload
-    args = argparse.Namespace(**namespace)
-    code = run_integrate(args, outdir, tag=tag)
-    return tag, code
+def run_integrate(args, outdir: str, tag: str = "integrate") -> int:
+    job = _prepare_job(args, tag)
+    try:
+        outcome = solver.integrate(
+            job.system, job.constraints, job.w_from, job.w_to, job.y0, tol=job.tol
+        )
+    except (solver.SingularityError, solver.ToleranceError) as exc:
+        outcome = exc
+    return _write_job(job, outcome, outdir)
 
 
-def run_sweep(args, outdir: str) -> int:
+def _sweep_jobs(args) -> list[_Job]:
+    """Every job of the sweep, validated and launched; ValueError if any is bad."""
     if args.j is None or args.frm is None or args.to is None:
         raise ValueError("--j, --from and --to are required (flag or config file)")
     j_list = [v for v in args.j.split(",") if v]
     eps_list = [v for v in (args.eps_list or "1.0").split(",") if v]
     mass_list = [v for v in (args.mass_list or "0.0").split(",") if v]
     deltas = ("+1", "-1") if args.delta == "both" else (args.delta,)
-    jobs = []
-    idx = 0
-    for j, eps in ((j, e) for j in j_list for e in eps_list):
-        for mass in mass_list:
-            for delta in deltas:
-                ns = {
-                    "j": j,
-                    "m": getattr(args, "m", None),
-                    "delta": delta,
-                    "eps": eps,
-                    "mass": mass,
-                    "frm": args.frm,
-                    "to": args.to,
-                    "tol": args.tol,
-                    "launch": None,
-                    "seed": int(args.seed) + idx,
-                }
-                jobs.append((ns, outdir, f"sweep_{idx:03d}"))
-                idx += 1
-    if not jobs:
+    grid = [
+        (j, eps, mass, delta)
+        for j in j_list for eps in eps_list for mass in mass_list for delta in deltas
+    ]
+    if not grid:
         raise ValueError("the sweep has no jobs")
     if int(args.workers) < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
-    # a bad entry fails here, before any job writes a file
-    for ns, _, tag in jobs:
+    jobs = []
+    for idx, (j, eps, mass, delta) in enumerate(grid):
+        ns = argparse.Namespace(
+            j=j, m=getattr(args, "m", None), delta=delta, eps=eps, mass=mass,
+            frm=args.frm, to=args.to, tol=args.tol, launch=None, seed=int(args.seed) + idx,
+        )
+        tag = f"sweep_{idx:03d}"
         try:
-            _integrate_inputs(argparse.Namespace(**ns))
+            jobs.append(_prepare_job(ns, tag))
         except ValueError as exc:
             raise ValueError(f"{tag}: {exc}") from exc
+    return jobs
+
+
+def run_sweep(args, outdir: str) -> int:
+    """Integrate every job in one batched loop, then write each job's files and the index."""
+    jobs = _sweep_jobs(args)
+    outcomes = solver.integrate_many(
+        [job.system for job in jobs],
+        [job.constraints for job in jobs],
+        [job.w_from for job in jobs],
+        [job.w_to for job in jobs],
+        [job.y0 for job in jobs],
+        tol=[job.tol for job in jobs],
+    )
     status = 0
-    workers = min(int(args.workers), len(jobs), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for tag, code in pool.map(_sweep_job, jobs):
-            if code != 0:
-                status = code
+    for job, outcome in zip(jobs, outcomes):
+        status = _write_job(job, outcome, outdir) or status
     manifest = Manifest("sweep", vars(args))
-    for ns, _, tag in jobs:
+    for job in jobs:
         for suffix, kind in ((".csv", "solution-trace"), (".manifest.json", "job-manifest")):
-            path = os.path.join(outdir, tag + suffix)
+            path = os.path.join(outdir, job.tag + suffix)
             if os.path.exists(path):
                 manifest.add_output(path, kind)
     manifest.write(os.path.join(outdir, "sweep.manifest.json"))
@@ -566,7 +590,9 @@ def _build_parser() -> argparse.ArgumentParser:
     mode_flags(integ, with_range=True)
     integ.add_argument("--launch", default=None, help="endpoint exponent index")
 
-    swp = sub.add_parser("sweep", parents=[common], help="parallel parameter sweep")
+    swp = sub.add_parser(
+        "sweep", parents=[common], help="parameter sweep, integrated in one batched loop"
+    )
     swp.add_argument("--j", help="half-integer or comma list, e.g. 1/2,3/2")
     swp.add_argument("--m", default=None)
     swp.add_argument("--delta", default="both", help="+1, -1 or both")
@@ -576,7 +602,11 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--to", type=float)
     swp.add_argument("--tol", type=float, default=1e-10)
     swp.add_argument("--seed", type=int, default=0)
-    swp.add_argument("--workers", type=int, default=2)
+    swp.add_argument(
+        "--workers", type=int, default=2,
+        help="accepted for compatibility and must be at least 1; has no effect "
+        "(the sweep starts no worker processes)",
+    )
     return parser
 
 

@@ -16,9 +16,11 @@ once per (j, delta, dimension) into a read-only (5, n*n) stack held in a
 bounded cache.  One routine computes the five weights, at one omega or at
 each omega of an array, as a (k, 5) table; the coefficient matrices and
 the divergence constraint rows at those omegas are one (k, 5) @ stack
-product, and a single point is the k = 1 case.  The omega-derivative of
-the constraint rows and the endpoint residues and subleading terms are
-fixed weight vectors on the same stacks.
+product, and a single point is the k = 1 case.  A :class:`SystemBatch`
+takes the weights of many modes at once, with one energy and mass per
+member, and multiplies each member's rows with its own stack.  The
+omega-derivative of the constraint rows and the endpoint residues and
+subleading terms are fixed weight vectors on the same stacks.
 
 Diagonalizing spatial inversion halves the system: amplitudes (h, nu) are
 tied to (g, f) by the sign delta, and the reduced 8x8 generator equals the
@@ -131,25 +133,31 @@ def _reduced_delta(mode: ModeLabel) -> int:
     return mode.delta
 
 
-def _scalar_rows(mode: ModeLabel, omegas) -> np.ndarray:
-    """(k, 5) complex weights (E, T, 1/sin, 1/tan, m), one row per omega.
+def _scalar_rows(omegas, eps, mass) -> np.ndarray:
+    """Complex weights (E, T, 1/sin, 1/tan, m) at each omega, on a last axis of 5.
 
-    ``omegas`` is a scalar (k = 1) or a 1-d array.  E is divided
-    componentwise, as Python divides a complex by a float.
+    ``omegas`` is a scalar (one row, shape (1, 5)) or an array of any shape;
+    ``eps`` and ``mass`` are one value or arrays that broadcast against it,
+    e.g. one value per member of a batch.  E is divided componentwise, as
+    Python divides a complex by a float.
     """
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    if not (omegas.min() > 0.0 and omegas.max() < _HALF_PI):
-        raise ValueError(f"omega must lie in (0, pi/2), got {omegas}")
+    if isinstance(omegas, (float, int)):
+        if not 0.0 < omegas < _HALF_PI:
+            raise ValueError(f"omega must lie in (0, pi/2), got {omegas}")
+        omegas = np.array([omegas], dtype=float)
+    else:
+        omegas = np.asarray(omegas, dtype=float)
+        if not (omegas.min() > 0.0 and omegas.max() < _HALF_PI):
+            raise ValueError(f"omega must lie in (0, pi/2), got {omegas}")
     cos, sin, tan = np.cos(omegas), np.sin(omegas), np.tan(omegas)
-    eps = complex(mode.eps)
-    rows = np.empty((len(omegas), 5), dtype=complex)
-    parts = rows.view(float)  # (k, 10): real and imaginary part of each weight
-    parts[:, 0] = eps.real / cos
-    parts[:, 1] = eps.imag / cos
-    rows[:, 1] = tan
-    rows[:, 2] = 1.0 / sin
-    rows[:, 3] = 1.0 / tan
-    rows[:, 4] = float(mode.mass)
+    rows = np.zeros(omegas.shape + (5,), dtype=complex)
+    parts = rows.view(float)  # real and imaginary part of each weight
+    parts[..., 0] = eps.real / cos
+    parts[..., 1] = eps.imag / cos
+    parts[..., 2] = tan
+    parts[..., 4] = 1.0 / sin
+    parts[..., 6] = 1.0 / tan
+    parts[..., 8] = mass
     return rows
 
 
@@ -165,7 +173,8 @@ def _mode_stack(mode: ModeLabel, dimension: int) -> np.ndarray:
 def _system_matrices(mode: ModeLabel, omegas, dimension: int) -> np.ndarray:
     """A at a scalar or 1-d array of omegas: (k, n, n) from one (k, 5) @ (5, n*n) product."""
     stack = _mode_stack(mode, dimension)
-    return (_scalar_rows(mode, omegas) @ stack).reshape(-1, dimension, dimension)
+    rows = _scalar_rows(omegas, mode.eps, mode.mass)
+    return (rows @ stack).reshape(-1, dimension, dimension)
 
 
 def build_A16(mode: ModeLabel, omega: float) -> np.ndarray:
@@ -263,6 +272,46 @@ class RadialSystem:
         return endpoint_laurent(self.mode, endpoint, self.dimension)
 
 
+@dataclass(frozen=True, eq=False)
+class SystemBatch:
+    """Radial systems of one dimension whose matrices come from one batched product.
+
+    Row b holds the cached stack, eps and mass of member b.  Its matrices
+    are the (k, 5) @ (5, n*n) product of :meth:`RadialSystem.matrices`,
+    made for every member in one (B, k, 5) @ (B, 5, n*n) matmul.
+    """
+
+    stacks: np.ndarray  # (B, 5, n*n)
+    eps: np.ndarray  # (B, 1) complex
+    mass: np.ndarray  # (B, 1)
+    dimension: int
+
+    @classmethod
+    def of(cls, systems) -> "SystemBatch":
+        dims = {s.dimension for s in systems}
+        if len(dims) != 1:
+            raise ValueError("a batch needs at least one system, all of one dimension")
+        (n,) = dims
+        return cls(
+            stacks=np.stack([_mode_stack(s.mode, n) for s in systems]),
+            eps=np.array([[complex(s.mode.eps)] for s in systems]),
+            mass=np.array([[float(s.mode.mass)] for s in systems]),
+            dimension=n,
+        )
+
+    def take(self, members) -> "SystemBatch":
+        """The batch of the listed members, in that order."""
+        return SystemBatch(
+            self.stacks[members], self.eps[members], self.mass[members], self.dimension
+        )
+
+    def matrices(self, omegas: np.ndarray) -> np.ndarray:
+        """(B, k) omegas, row b for member b -> (B, k, n, n)."""
+        n = self.dimension
+        rows = _scalar_rows(omegas, self.eps, self.mass)
+        return (rows @ self.stacks).reshape(*omegas.shape, n, n)
+
+
 # ---------------------------------------------------------------------------
 # constraints
 # ---------------------------------------------------------------------------
@@ -322,7 +371,7 @@ def _constraint_stack(two_j: int, delta: int) -> np.ndarray:
 def _constraint_matrices(mode: ModeLabel, omegas) -> np.ndarray:
     """C at a scalar or 1-d array of omegas: (k, 4, 8) from one (k, 5) @ (5, 32) product."""
     stack = _constraint_stack(mode.two_j, _reduced_delta(mode))
-    c = (_scalar_rows(mode, omegas) @ stack).reshape(-1, 4, 8)
+    c = (_scalar_rows(omegas, mode.eps, mode.mass) @ stack).reshape(-1, 4, 8)
     c += _TRACE_ROWS
     return c
 
@@ -340,7 +389,7 @@ def constraint_matrix(mode: ModeLabel, omega: float) -> np.ndarray:
 def constraint_matrix_derivative(mode: ModeLabel, omega: float) -> np.ndarray:
     """Exact omega-derivative of :func:`constraint_matrix`."""
     stack = _constraint_stack(mode.two_j, _reduced_delta(mode))
-    e, t, inv_s, inv_t, _ = _scalar_rows(mode, omega)[0]
+    e, t, inv_s, inv_t, _ = _scalar_rows(omega, mode.eps, mode.mass)[0]
     weights = np.array([e * t, 1.0 + t * t, -inv_s * inv_t, -inv_s * inv_s, 0.0])
     return (weights @ stack).reshape(4, 8)
 
@@ -425,7 +474,7 @@ def expected_lambda_first_rows(mode: ModeLabel, omega: float) -> np.ndarray:
     (-iE C1 + (a/sin + i m_eff) C2 + sqrt2 K1) and
     ((a/sin - i m_eff) C1 + iE C2 + sqrt2 K2).
     """
-    e, _, inv_s, _, m = _scalar_rows(mode, omega)[0]
+    e, _, inv_s, _, m = _scalar_rows(omega, mode.eps, mode.mass)[0]
     a = mode.coefficients().a
     m_eff = mode.delta * m
     return np.array(

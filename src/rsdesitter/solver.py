@@ -13,7 +13,10 @@ continuous (dense) output on every accepted step.  Each attempted step
 takes its coefficient matrices from one batched call; the dense output and
 the constraint residuals of the accepted steps are computed in one batch
 once the run ends, so that drift of the algebraic relations can be
-monitored directly.
+monitored directly.  :func:`integrate_many` runs many integrations in one
+lockstep loop, batching each attempt's coefficient call and stage products
+over the members; each member's trace is bit for bit its lone
+:func:`integrate` run.
 """
 
 from __future__ import annotations
@@ -23,9 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .radial import ConstraintSet, RadialSystem, constraint_rank
+from .radial import ConstraintSet, RadialSystem, SystemBatch, constraint_rank
 
 _HALF_PI = 0.5 * np.pi
+# eigenvector components whose moduli differ by less than this fraction count
+# as equal when frobenius picks the component to make real and positive
+_PHASE_TIE_RTOL = 1e-8
 
 # Dormand-Prince 5(4) tableau: row i < 5 holds the weights of stages 0..i in
 # the input of stage i + 1; row 5 those of stages 0..5 in the fifth-order
@@ -170,19 +176,7 @@ def integrate(
     carrying the partial trace, while a persistently rejected step raises
     :class:`ToleranceError`.
     """
-    lo, hi = sorted((omega_start, omega_end))
-    if not (0.0 < lo and hi < _HALF_PI):
-        raise ValueError("integration range must be inside (0, pi/2)")
-    y = np.asarray(y0, dtype=complex).copy()
-    if y.shape != (system.dimension,):
-        raise ValueError(f"state must have shape ({system.dimension},)")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("initial state must be finite")
-
-    direction = 1.0 if omega_end >= omega_start else -1.0
-    span = abs(omega_end - omega_start)
-    h = direction * (h0 if h0 is not None else min(1e-2, 0.1 * span))
-    h_min = max(1e-14, 4.0 * np.finfo(float).eps * span)
+    y, direction, h, h_min = _first_step(system, omega_start, omega_end, y0, h0)
     n = y.size
 
     w = float(omega_start)
@@ -245,6 +239,170 @@ def integrate(
     return _finalize(constraints, omegas, states, steps, errors, stages, rejected, rhs_evals)
 
 
+class _Member:
+    """Step-control state and accepted steps of one member of :func:`integrate_many`."""
+
+    def __init__(self, system, constraints, omega_start, omega_end, y0, tol):
+        self.y, self.direction, self.h, self.h_min = _first_step(
+            system, omega_start, omega_end, y0, None
+        )
+        self.constraints, self.end, self.tol = constraints, omega_end, tol
+        self.w = float(omega_start)
+        self.omegas, self.states, self.steps, self.errors = [self.w], [self.y], [0.0], [0.0]
+        self.stages = []
+        self.rhs_evals, self.rejected, self.attempts = 1, 0, 0
+        self.err_prev, self.rejected_in_a_row = 1.0, 0
+
+    def trace(self) -> SolutionTrace:
+        return _finalize(
+            self.constraints, self.omegas, self.states, self.steps, self.errors,
+            self.stages, self.rejected, self.rhs_evals,
+        )
+
+
+def integrate_many(
+    systems,
+    constraints,
+    omega_start,
+    omega_end,
+    y0s,
+    tol,
+    max_steps: int = 200_000,
+) -> list:
+    """Integrate several systems of one dimension in one lockstep Dormand-Prince loop.
+
+    Member b integrates ``systems[b]`` from ``y0s[b]``, with the residuals
+    of ``constraints[b]`` (``constraints`` may be None for none at all).
+    ``omega_start``, ``omega_end`` and ``tol`` are one value for every
+    member or one value each.  Every iteration makes one attempt for each
+    unfinished member: one batched coefficient call for all their stage
+    abscissae (:class:`~rsdesitter.radial.SystemBatch`), stage products
+    batched over the members, then each member's own error control.  Each
+    member's arithmetic is that of :func:`integrate`, so its trace equals a
+    lone run's: the same omegas, states, errors, dense output, residuals
+    and counts.
+
+    Returns one entry per member: its :class:`SolutionTrace`, or the
+    :class:`SingularityError` (with its partial trace) or
+    :class:`ToleranceError` that :func:`integrate` would raise.  A failed
+    member leaves the loop; the others run on.
+    """
+    systems, y0s = list(systems), list(y0s)
+    count = len(systems)
+    constraints = [None] * count if constraints is None else list(constraints)
+    if not len(y0s) == len(constraints) == count:
+        raise ValueError("need one initial state and one constraint set (or None) per system")
+    per_member = [
+        np.broadcast_to(np.asarray(v, dtype=float), (count,)).tolist()
+        for v in (omega_start, omega_end, tol)
+    ]
+    members = [
+        _Member(s, c, w0, w1, y0, t)
+        for s, c, y0, w0, w1, t in zip(systems, constraints, y0s, *per_member)
+    ]
+    batch = SystemBatch.of(systems)
+    n = batch.dimension
+    results = [None] * count
+    active = list(range(count))
+    y = np.array([m.y for m in members])
+    start = np.array([[m.w] for m in members])
+    k_first = (batch.matrices(start)[:, 0] @ y[..., None])[..., 0]
+    tols = np.array([[m.tol] for m in members])
+
+    while active:
+        # members leave where integrate would, checked in its order
+        keep = []
+        for pos, b in enumerate(active):
+            m = members[b]
+            if results[b] is not None:
+                continue
+            if m.attempts == max_steps:
+                results[b] = ToleranceError(
+                    f"exceeded {max_steps} steps before reaching omega_end"
+                )
+            elif m.direction * (m.end - m.w) <= 0:
+                results[b] = m.trace()
+            elif abs(m.h) < m.h_min:
+                results[b] = SingularityError(
+                    f"step size underflow at omega = {m.w:.6g} (h = {abs(m.h):.3e})",
+                    m.trace(),
+                )
+            else:
+                if m.direction * (m.w + m.h - m.end) > 0:
+                    m.h = m.end - m.w
+                keep.append(pos)
+        if len(keep) < len(active):
+            active = [active[p] for p in keep]
+            if not active:
+                break
+            batch, y, k_first, tols = batch.take(keep), y[keep], k_first[keep], tols[keep]
+
+        # one attempt per member; every batched product below makes, for each
+        # member, the BLAS call integrate makes, so the bits agree
+        run = [members[b] for b in active]
+        h = np.array([m.h for m in run])[:, None]
+        w = np.array([m.w for m in run])[:, None]
+        a = batch.matrices(w + _C[1:6] * h)
+        k = np.empty((len(run), 7, n), dtype=complex)
+        k[:, 0] = k_first
+        for i in range(5):
+            stage = y + h * (_TABLEAU[i, : i + 1] @ k[:, : i + 1])
+            k[:, i + 1] = (a[:, i] @ stage[..., None])[..., 0]
+        y_new = y + h * (_TABLEAU[5, :6] @ k[:, :6])
+        k[:, 6] = (a[:, 4] @ y_new[..., None])[..., 0]
+        scale = tols + tols * np.maximum(np.abs(y), np.abs(y_new))
+        squares = (np.abs(h * (_TABLEAU[6] @ k) / scale) ** 2).sum(axis=1).tolist()
+
+        accepted = np.zeros(len(run), dtype=bool)
+        for pos, (b, m) in enumerate(zip(active, run)):
+            m.attempts += 1
+            m.rhs_evals += 6
+            err = math.sqrt(squares[pos] / n)
+            if err <= 1.0:
+                m.stages.append(k[pos])
+                m.w = m.w + m.h
+                m.omegas.append(m.w)
+                m.states.append(y_new[pos])
+                m.steps.append(m.h)
+                m.errors.append(err)
+                fac = 0.9 * err ** -0.14 * m.err_prev ** 0.08 if err > 0 else 5.0
+                m.err_prev = max(err, 1e-4)
+                m.rejected_in_a_row = 0
+                accepted[pos] = True
+            else:
+                fac = max(0.2, 0.9 * err ** -0.2)
+                m.rejected += 1
+                m.rejected_in_a_row += 1
+                if m.rejected_in_a_row > 60:
+                    results[b] = ToleranceError(
+                        f"unable to meet tol = {m.tol:.1e} at omega = {m.w:.6g} "
+                        f"(error estimate {err:.3e})"
+                    )
+            m.h = m.h * min(5.0, max(0.2, fac))
+        # new arrays, never writes into y_new or k: the traces keep views of them
+        y = np.where(accepted[:, None], y_new, y)
+        k_first = np.where(accepted[:, None], k[:, 6], k_first)
+    return results
+
+
+def _first_step(system, omega_start, omega_end, y0, h0):
+    """Checked copy of the initial state, direction, first step and smallest step."""
+    lo, hi = sorted((omega_start, omega_end))
+    if not (0.0 < lo and hi < _HALF_PI):
+        raise ValueError("integration range must be inside (0, pi/2)")
+    y = np.asarray(y0, dtype=complex).copy()
+    if y.shape != (system.dimension,):
+        raise ValueError(f"state must have shape ({system.dimension},)")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("initial state must be finite")
+
+    direction = 1.0 if omega_end >= omega_start else -1.0
+    span = abs(omega_end - omega_start)
+    h = direction * (h0 if h0 is not None else min(1e-2, 0.1 * span))
+    h_min = max(1e-14, 4.0 * np.finfo(float).eps * span)
+    return y, direction, h, h_min
+
+
 def _finalize(
     constraints, omegas, states, steps, errors, stages, rejected, rhs_evals
 ) -> SolutionTrace:
@@ -288,13 +446,23 @@ def frobenius(system: RadialSystem, endpoint: str) -> IndicialData:
 
     The residue lim (omega - w0) A(omega) and the subleading constant term
     are the closed forms of :meth:`RadialSystem.laurent`.  Exponents come
-    sorted by descending real part, with eigenvectors as matching columns
-    of ``vectors``.
+    sorted by descending real part, with unit eigenvectors as matching
+    columns of ``vectors``.  Each eigenvector's largest-modulus component is
+    real and positive; where several are equal in modulus to within
+    ``_PHASE_TIE_RTOL``, the lowest index is taken.  So the vectors do not
+    depend on last-bit changes of the residue, except inside a degenerate
+    eigenspace, whose basis is still ``np.linalg.eig``'s choice.
     """
     residue, subleading = system.laurent(endpoint)
     lam, vec = np.linalg.eig(residue)
     order = np.lexsort((-lam.imag, -lam.real))
     lam, vec = lam[order], vec[:, order]
+    # fix each vector's free phase: its largest component becomes real and
+    # positive, and of components equal in modulus to rounding the first wins
+    mags = np.abs(vec)
+    lead = np.argmax(mags >= (1.0 - _PHASE_TIE_RTOL) * mags.max(axis=0), axis=0)
+    pivot = vec[lead, np.arange(len(lam))]
+    vec = vec * (pivot.conj() / np.abs(pivot))
     eig_res = np.array(
         [np.abs(residue @ vec[:, k] - lam[k] * vec[:, k]).max() for k in range(len(lam))]
     )

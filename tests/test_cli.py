@@ -1,6 +1,10 @@
+import argparse
 import hashlib
 import json
+import multiprocessing.process
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -211,37 +215,89 @@ def test_sweep_with_a_bad_entry_writes_nothing(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        return map(fn, jobs)
+def _refuse_child_process(*args, **kwargs):
+    raise AssertionError("the sweep started a child process")
 
 
-def test_sweep_workers_validated_and_capped(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    base = ["sweep", "--j", "1/2", "--from", "0.5", "--to", "0.7", "--tol", "1e-6"]
+def test_sweep_workers_validated_and_starts_no_process(tmp_path, monkeypatch):
+    for name in ("fork", "forkpty", "posix_spawn", "posix_spawnp"):
+        if hasattr(os, name):
+            monkeypatch.setattr(os, name, _refuse_child_process)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _refuse_child_process)
+    monkeypatch.setattr(subprocess, "Popen", _refuse_child_process)
+    base = ["sweep", "--j", "1/2", "--from", "0.5", "--to", "0.7", "--tol", "1e-6",
+            "--mass-list", "0.0,0.5"]
     assert run(base + ["--workers", "0", "--out", str(tmp_path / "zero")]) == cli.USAGE_ERROR
-    cases = (("1", "0.0", 1), ("64", "0.0", 2), ("64", "0.0,0.5", 3), ("2", "0.0,0.5", 2))
-    for workers, masses, _ in cases:
-        out = tmp_path / f"w{workers}_{len(masses)}"
-        code = run(base + ["--workers", workers, "--mass-list", masses, "--out", str(out)])
-        assert code == 0
-    # zero workers never reached the pool; jobs = 2 per mass (both deltas)
-    assert _RecordingPool.sizes == [expected for _, _, expected in cases]
+    assert not (tmp_path / "zero").exists() or os.listdir(tmp_path / "zero") == []
+    outputs = []
+    for workers in ("1", "2", "64"):
+        out = tmp_path / f"w{workers}"
+        assert run(base + ["--workers", workers, "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    # --workers has no effect: the same files, apart from the option in the index
+    for files in outputs[1:]:
+        assert files.keys() == outputs[0].keys()
+        assert all(files[k] == outputs[0][k] for k in files if k != "sweep.manifest.json")
+    assert len(outputs[0]) == 2 * 4 + 1  # 2 masses x 2 deltas: CSV and manifest each, one index
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    code = (
+        "import sys, rsdesitter.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def _sweep_namespaces(j_list, eps_list, mass_list, frm, to, tol, seed):
+    """The jobs of a sweep as cli.run_integrate takes them, in the sweep's order."""
+    jobs = []
+    for j in j_list:
+        for eps in eps_list:
+            for mass in mass_list:
+                for delta in ("+1", "-1"):
+                    idx = len(jobs)
+                    ns = argparse.Namespace(
+                        j=j, m=None, delta=delta, eps=eps, mass=mass, frm=frm, to=to,
+                        tol=tol, launch=None, seed=seed + idx,
+                    )
+                    jobs.append((ns, f"sweep_{idx:03d}"))
+    return jobs
+
+
+@pytest.mark.parametrize(
+    "j_list, eps_list, frm, to, tol",
+    [
+        (("1/2", "3/2", "5/2"), ("1.3", "0.7+0.4j"), 0.3, 1.2, 1e-8),
+        (("1/2", "3/2"), ("1.3",), 1.3, 1.5707963267948, 1e-8),  # every job fails
+    ],
+)
+def test_sweep_jobs_match_run_integrate_byte_for_byte(
+    tmp_path, j_list, eps_list, frm, to, tol
+):
+    masses = ("0.0", "0.7")
+    argv = ["sweep", "--j", ",".join(j_list), "--eps-list", ",".join(eps_list),
+            "--mass-list", ",".join(masses), "--from", repr(frm), "--to", repr(to),
+            "--tol", repr(tol), "--seed", "11", "--out", str(tmp_path / "sweep")]
+    code = run(argv)
+    jobs = _sweep_namespaces(j_list, eps_list, masses, frm, to, tol, 11)
+    (tmp_path / "single").mkdir()
+    codes = [cli.run_integrate(ns, str(tmp_path / "single"), tag=tag) for ns, tag in jobs]
+    assert code == max(codes)
+    swept = {p.name: p.read_bytes() for p in (tmp_path / "sweep").iterdir()}
+    single = {p.name: p.read_bytes() for p in (tmp_path / "single").iterdir()}
+    assert swept.pop("sweep.manifest.json")
+    assert swept == single
+    for (_, tag), job_code in zip(jobs, codes):
+        manifest = json.loads(swept[f"{tag}.manifest.json"])
+        assert (f"{tag}.csv" in swept) == (job_code == 0)
+        assert manifest["status"] == ("ok" if job_code == 0 else "numerical-failure")
 
 
 def _csv_by_element(trace):

@@ -488,6 +488,43 @@ def test_batched_matrices_reject_out_of_range_omegas():
             system.matrices(np.array(bad))
 
 
+def test_single_points_and_batches_reject_out_of_range_omegas():
+    mode = _mode(delta=1)
+    batch = radial.SystemBatch.of([radial.RadialSystem(mode)] * 2)
+    for bad in (0.0, np.pi / 2, -0.1, np.nan, 2.0):
+        for omega in (bad, np.float64(bad)):
+            with pytest.raises(ValueError):
+                radial.build_A8(mode, omega)
+            with pytest.raises(ValueError):
+                radial.constraint_matrix(mode, omega)
+        with pytest.raises(ValueError):
+            batch.matrices(np.array([[0.3, 0.4], [0.5, bad]]))
+
+
+def test_system_batch_matches_each_member():
+    rng = np.random.default_rng(17)
+    for dim in (8, 16):
+        systems = [
+            radial.RadialSystem(
+                ModeLabel(j=j, m_j=0.5, eps=eps, mass=mass, delta=delta if dim == 8 else None),
+                dimension=dim,
+            )
+            for j, eps, mass, delta in (
+                (0.5, 1.3, 0.7, 1), (1.5, 0.4 + 0.9j, -1.2, -1), (2.5, -2.0 + 0.1j, 0.0, 1),
+                (1.5, 1.3, 0.7, 1),
+            )
+        ]
+        omegas = rng.uniform(1e-3, 1.57, (len(systems), 5))
+        got = radial.SystemBatch.of(systems).matrices(omegas)
+        assert got.shape == (len(systems), 5, dim, dim)
+        for b, system in enumerate(systems):
+            assert np.array_equal(got[b], system.matrices(omegas[b]))
+        taken = radial.SystemBatch.of(systems).take([3, 0])
+        assert np.array_equal(taken.matrices(omegas[[3, 0]]), got[[3, 0]])
+    with pytest.raises(ValueError):
+        radial.SystemBatch.of([])
+
+
 def test_batched_matrices_share_the_stack_cache():
     radial._system_stack.cache_clear()
     rng = np.random.default_rng(6)

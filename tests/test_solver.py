@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -406,3 +408,125 @@ def test_run_counts_repeat_and_add_up():
         solver.integrate(system, None, 1.3, np.pi / 2 - 1e-13, y0, tol=1e-8)
     partial = info.value.trace
     assert partial.rhs_evals == 1 + 6 * (partial.n_steps + partial.rejected_steps)
+
+
+def _assert_same_run(batched, single, case):
+    """Every field of a batched member equals the lone integrate run, bit for bit."""
+    for name in ("omegas", "states", "residuals", "steps", "errors", "_dense"):
+        a, b = getattr(batched, name), getattr(single, name)
+        assert np.array_equal(a, b), (case, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (case, name)  # signed zeros
+    assert batched.rejected_steps == single.rejected_steps, case
+    assert batched.rhs_evals == single.rhs_evals, case
+    assert batched.step_range == single.step_range, case
+
+
+def _lone_outcome(*args, **kwargs):
+    try:
+        return solver.integrate(*args, **kwargs)
+    except (solver.SingularityError, solver.ToleranceError) as exc:
+        return exc
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+def test_integrate_many_matches_lone_runs(tol):
+    # j 1/2-5/2 x both deltas x real and complex eps x outward and inward, in one call
+    rng = np.random.default_rng(int(-np.log10(tol)))
+    systems, cons, starts, ends, y0s = [], [], [], [], []
+    for j in (0.5, 1.5, 2.5):
+        for delta in (1, -1):
+            for eps in (1.3, 0.7 + 0.4j):
+                for start, end in ((0.2, 1.3), (1.4, 0.3)):
+                    system, constraints = _system(j=j, eps=eps, mass=0.7, delta=delta)
+                    seed = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+                    zero = (1, 7) if j == 0.5 else ()
+                    systems.append(system)
+                    cons.append(constraints)
+                    starts.append(start)
+                    ends.append(end)
+                    y0s.append(
+                        solver.constraint_kernel_state(constraints, start, seed, zero_slots=zero)
+                    )
+    batched = solver.integrate_many(systems, cons, starts, ends, y0s, tol=tol)
+    assert len(batched) == len(systems) == 24
+    for b, (s, c, w0, w1, y0) in enumerate(zip(systems, cons, starts, ends, y0s)):
+        _assert_same_run(batched[b], solver.integrate(s, c, w0, w1, y0, tol=tol), (b, tol))
+
+
+def test_integrate_many_underflow_next_to_finishing_members():
+    systems = [_system(j=j, eps=1.3 + 0.4j)[0] for j in (0.5, 1.5, 1.5, 2.5)]
+    cons = [radial.ConstraintSet(mode=s.mode) for s in systems]
+    horizon = np.pi / 2 - 1e-13
+    starts, ends = [0.3, 1.3, 0.5, 1.2], [1.2, horizon, 1.1, 0.4]
+    y0s = [np.ones(8, dtype=complex)] * 4
+    batched = solver.integrate_many(systems, cons, starts, ends, y0s, tol=1e-8)
+    for b, args in enumerate(zip(systems, cons, starts, ends, y0s)):
+        lone = _lone_outcome(*args, tol=1e-8)
+        if b == 1:
+            assert isinstance(lone, solver.SingularityError)
+            assert type(batched[b]) is type(lone) and str(batched[b]) == str(lone)
+            _assert_same_run(batched[b].trace, lone.trace, "partial")
+        else:
+            _assert_same_run(batched[b], lone, b)
+
+
+def test_integrate_many_step_limits_and_shapes():
+    # members past max_steps fail as integrate does; the rest finish.  The
+    # 0.3 -> 0.35 run takes exactly 14 attempts, which integrate counts as
+    # too many: it checks the end only at the top of the next attempt
+    systems = [_system(j=1.5, eps=eps)[0] for eps in (0.5, 0.5, 1.3)]
+    starts, ends = [0.3, 0.3, 0.3], [0.31, 0.35, 1.2]
+    y0s = [np.ones(8, dtype=complex)] * 3
+    batched = solver.integrate_many(systems, None, starts, ends, y0s, tol=1e-10, max_steps=14)
+    outcomes = [_lone_outcome(*a, tol=1e-10, max_steps=14)
+                for a in zip(systems, [None] * 3, starts, ends, y0s)]
+    assert [type(o) for o in outcomes] == [
+        solver.SolutionTrace, solver.ToleranceError, solver.ToleranceError
+    ]
+    for got, lone in zip(batched, outcomes):
+        if isinstance(lone, solver.ToleranceError):
+            assert type(got) is solver.ToleranceError and str(got) == str(lone)
+        else:
+            _assert_same_run(got, lone, "finished")
+    # the 16-amplitude system batches too; systems of two dimensions do not
+    full = radial.RadialSystem(mode=systems[0].mode, dimension=16)
+    y16 = np.ones(16, dtype=complex)
+    (got,) = solver.integrate_many([full], None, 0.3, 1.2, [y16], tol=1e-9)
+    _assert_same_run(got, solver.integrate(full, None, 0.3, 1.2, y16, tol=1e-9), "16")
+    with pytest.raises(ValueError):
+        solver.integrate_many([full, systems[0]], None, 0.3, 1.2, [y16, y0s[0]], tol=1e-9)
+    with pytest.raises(ValueError):
+        solver.integrate_many(systems[:1], None, 0.0, 1.2, y0s[:1], tol=1e-9)
+    with pytest.raises(ValueError):
+        solver.integrate_many(systems, None, 0.3, 1.2, y0s[:2], tol=1e-9)
+    with pytest.raises(ValueError):
+        solver.integrate_many(systems, None, [0.3, 0.4], 1.2, y0s, tol=1e-9)
+
+
+def test_frobenius_vectors_do_not_follow_the_residue_last_bits():
+    # each vector's largest component is real and positive; a residue that
+    # differs by ~1e-11 (Richardson, no weight table) gives the same vectors
+    checked = 0
+    for j in (0.5, 1.5, 2.5, 3.5):
+        for delta in (1, -1):
+            for eps in (1.3 + 0.4j, 1.3, 0.7):
+                mode = ModeLabel(j=j, m_j=0.5, eps=eps, mass=0.7, delta=delta)
+                system = radial.RadialSystem(mode=mode, dimension=8)
+                for endpoint, w0, d in (("origin", 0.0, 1), ("horizon", np.pi / 2, -1)):
+                    data = solver.frobenius(system, endpoint)
+                    oracle_residue = _richardson(lambda u: d * u * system.matrix(w0 + d * u))
+                    stand_in = SimpleNamespace(
+                        laurent=lambda e: (oracle_residue, data.subleading)
+                    )
+                    oracle = solver.frobenius(stand_in, endpoint)
+                    for k, lam in enumerate(data.exponents):
+                        v = data.vectors[:, k]
+                        lead = np.argmax(np.abs(v) >= (1 - 1e-8) * np.abs(v).max())
+                        assert v[lead].real > 0 and abs(v[lead].imag) <= 1e-15
+                        if np.delete(np.abs(data.exponents - lam), k).min() < 1e-6:
+                            continue  # degenerate: the basis is still eig's choice
+                        k2 = int(np.argmin(np.abs(oracle.exponents - lam)))
+                        diff = np.abs(v - oracle.vectors[:, k2]).max()
+                        assert diff <= 1e-8, (j, delta, eps, endpoint, k, diff)
+                        checked += 1
+    assert checked >= 100
