@@ -91,18 +91,14 @@ def read_config(path: str) -> dict[str, str]:
     return conf
 
 
-def atomic_write(path: str, data: str) -> None:
+def atomic_write(path: str, data: str) -> str:
+    """Write ``data`` as UTF-8 through a temporary file; return the bytes' sha256."""
+    raw = data.encode("utf-8")
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(data)
+    with open(tmp, "wb") as fh:
+        fh.write(raw)
     os.replace(tmp, path)
-
-
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        digest.update(fh.read())
-    return digest.hexdigest()
+    return hashlib.sha256(raw).hexdigest()
 
 
 class Manifest:
@@ -136,20 +132,24 @@ class Manifest:
     def warn(self, message: str) -> None:
         self.data["warnings"].append(message)
 
-    def add_output(self, path: str, kind: str) -> None:
+    def add_output(self, path: str, kind: str, sha256: str) -> None:
+        """Record a written file with the digest :func:`atomic_write` returned."""
         self.data["outputs"].append(
-            {"path": os.path.basename(path), "kind": kind, "sha256": _sha256(path)}
+            {"path": os.path.basename(path), "kind": kind, "sha256": sha256}
         )
 
     @property
     def all_passed(self) -> bool:
         return all(c["pass"] for c in self.data["checks"])
 
-    def write(self, path: str) -> None:
-        """Write the manifest; a failed check turns status 'ok' into 'check-failed'."""
+    def write(self, path: str) -> str:
+        """Write the manifest; return its sha256.
+
+        A failed check turns status 'ok' into 'check-failed'.
+        """
         if self.data["status"] == "ok" and not self.all_passed:
             self.data["status"] = "check-failed"
-        atomic_write(path, json.dumps(self.data, indent=2, sort_keys=True) + "\n")
+        return atomic_write(path, json.dumps(self.data, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,9 @@ def run_verify_geometry(manifest: Manifest, n_points: int, seed: int) -> None:
     manifest.check("divergence-oracle", worst["divergence"], 1e-6)
 
 
-def run_verify_wigner(manifest: Manifest, j: Fraction, m: Fraction, grid: int, outdir: str) -> str:
+def run_verify_wigner(
+    manifest: Manifest, j: Fraction, m: Fraction, grid: int, outdir: str
+) -> None:
     thetas = np.linspace(0.02, np.pi - 0.02, grid)
     rows = wigner.recurrence_residuals(float(j), float(m), thetas)
     lines = ["relation,residual,residual_fd,fd_vs_analytic"]
@@ -216,11 +218,10 @@ def run_verify_wigner(manifest: Manifest, j: Fraction, m: Fraction, grid: int, o
             f"fd-agreement {row['relation']}", row["fd_vs_analytic"], 1e-6
         )
     path = os.path.join(outdir, f"wigner_j{j.numerator}_2_m{m.numerator}_2.csv".replace("-", "m"))
-    atomic_write(path, "\n".join(lines) + "\n")
-    return path
+    manifest.add_output(path, "residual-table", atomic_write(path, "\n".join(lines) + "\n"))
 
 
-def run_verify_ansatz(manifest: Manifest, j: Fraction, seed: int, outdir: str) -> str:
+def run_verify_ansatz(manifest: Manifest, j: Fraction, seed: int, outdir: str) -> None:
     mode = ModeLabel(j=float(j), m_j=float(min(j, Fraction(1, 2))), eps=1.3, mass=0.7)
     rng = np.random.default_rng(seed)
     per_equation: dict[str, float] = {
@@ -261,8 +262,8 @@ def run_verify_ansatz(manifest: Manifest, j: Fraction, seed: int, outdir: str) -
         tol = 1e-8 if name.startswith("divergence") else 1e-9
         manifest.check(name, res, tol)
     path = os.path.join(outdir, f"ansatz_j{j.numerator}_2_residuals.json")
-    atomic_write(path, json.dumps(per_equation, indent=2, sort_keys=True) + "\n")
-    return path
+    digest = atomic_write(path, json.dumps(per_equation, indent=2, sort_keys=True) + "\n")
+    manifest.add_output(path, "residual-table", digest)
 
 
 def run_verify(args, outdir: str) -> int:
@@ -274,12 +275,10 @@ def run_verify(args, outdir: str) -> int:
     elif args.suite == "wigner":
         j = parse_half_integer(args.j, "--j")
         m = parse_half_integer(args.m, "--m") if args.m else min(j, Fraction(1, 2))
-        path = run_verify_wigner(manifest, j, m, args.grid, outdir)
-        manifest.add_output(path, "residual-table")
+        run_verify_wigner(manifest, j, m, args.grid, outdir)
     else:
         j = parse_half_integer(args.j, "--j")
-        path = run_verify_ansatz(manifest, j, args.seed, outdir)
-        manifest.add_output(path, "residual-table")
+        run_verify_ansatz(manifest, j, args.seed, outdir)
     manifest.write(os.path.join(outdir, f"verify_{args.suite}.manifest.json"))
     for chk in manifest.data["checks"]:
         flag = "pass" if chk["pass"] else "FAIL"
@@ -331,8 +330,8 @@ def run_reduce(args, outdir: str) -> int:
     }
     manifest = Manifest("reduce", vars(args))
     path = os.path.join(outdir, "reduce.json")
-    atomic_write(path, json.dumps(payload, indent=2) + "\n")
-    manifest.add_output(path, "reduced-system")
+    digest = atomic_write(path, json.dumps(payload, indent=2) + "\n")
+    manifest.add_output(path, "reduced-system", digest)
     manifest.write(os.path.join(outdir, "reduce.manifest.json"))
     print(json.dumps(payload))
     return 0
@@ -362,8 +361,8 @@ def run_indices(args, outdir: str) -> int:
             "regular_indices": data.regular_indices(),
         }
     path = os.path.join(outdir, "indices.json")
-    atomic_write(path, json.dumps(payload, indent=2) + "\n")
-    manifest.add_output(path, "indicial-data")
+    digest = atomic_write(path, json.dumps(payload, indent=2) + "\n")
+    manifest.add_output(path, "indicial-data", digest)
     manifest.write(os.path.join(outdir, "indices.manifest.json"))
     return 0 if manifest.all_passed else NUMERICAL_ERROR
 
@@ -459,23 +458,26 @@ def _prepare_job(args, tag: str) -> _Job:
     return _Job(tag, system, cons, w_from, w_to, tol, y0, manifest)
 
 
-def _write_job(job: _Job, outcome, outdir: str) -> int:
-    """Write a job's CSV and manifest, or only its manifest if ``outcome`` is an error."""
-    manifest = job.manifest
+def _write_job(job: _Job, outcome, outdir: str) -> tuple[int, list[tuple[str, str, str]]]:
+    """Write a job's CSV and manifest, or only its manifest if ``outcome`` is an error.
+
+    Returns the exit status and the (path, kind, sha256) of each file written.
+    """
+    manifest, status, written = job.manifest, 0, []
     if isinstance(outcome, Exception):
         if isinstance(outcome, solver.SingularityError) and outcome.trace is not None:
             manifest.data["stats"] = _run_stats(outcome.trace)
         manifest.warn(f"integration failed: {outcome}")
         manifest.data["status"] = "numerical-failure"
-        manifest.write(os.path.join(outdir, f"{job.tag}.manifest.json"))
-        return NUMERICAL_ERROR
-
-    manifest.data["stats"] = _run_stats(outcome)
-    path = os.path.join(outdir, f"{job.tag}.csv")
-    atomic_write(path, _trace_csv(outcome))
-    manifest.add_output(path, "solution-trace")
-    manifest.write(os.path.join(outdir, f"{job.tag}.manifest.json"))
-    return 0
+        status = NUMERICAL_ERROR
+    else:
+        manifest.data["stats"] = _run_stats(outcome)
+        path = os.path.join(outdir, f"{job.tag}.csv")
+        written.append((path, "solution-trace", atomic_write(path, _trace_csv(outcome))))
+        manifest.add_output(*written[0])
+    path = os.path.join(outdir, f"{job.tag}.manifest.json")
+    written.append((path, "job-manifest", manifest.write(path)))
+    return status, written
 
 
 def run_integrate(args, outdir: str, tag: str = "integrate") -> int:
@@ -486,7 +488,7 @@ def run_integrate(args, outdir: str, tag: str = "integrate") -> int:
         )
     except (solver.SingularityError, solver.ToleranceError) as exc:
         outcome = exc
-    return _write_job(job, outcome, outdir)
+    return _write_job(job, outcome, outdir)[0]
 
 
 def _sweep_jobs(args) -> list[_Job]:
@@ -531,14 +533,12 @@ def run_sweep(args, outdir: str) -> int:
         tol=[job.tol for job in jobs],
     )
     status = 0
-    for job, outcome in zip(jobs, outcomes):
-        status = _write_job(job, outcome, outdir) or status
     manifest = Manifest("sweep", vars(args))
-    for job in jobs:
-        for suffix, kind in ((".csv", "solution-trace"), (".manifest.json", "job-manifest")):
-            path = os.path.join(outdir, job.tag + suffix)
-            if os.path.exists(path):
-                manifest.add_output(path, kind)
+    for job, outcome in zip(jobs, outcomes):
+        job_status, written = _write_job(job, outcome, outdir)
+        status = job_status or status
+        for output in written:
+            manifest.add_output(*output)
     manifest.write(os.path.join(outdir, "sweep.manifest.json"))
     return status
 

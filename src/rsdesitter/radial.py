@@ -408,9 +408,6 @@ class ConstraintSet:
     def matrix(self, omega: float) -> np.ndarray:
         return constraint_matrix(self.mode, omega)
 
-    def derivative(self, omega: float) -> np.ndarray:
-        return constraint_matrix_derivative(self.mode, omega)
-
     def residuals(self, omega: float, state: np.ndarray) -> np.ndarray:
         """Normalized residuals of the four rows at one point: a one-point :meth:`residuals_many`."""
         return self.residuals_many([omega], [state])[0]

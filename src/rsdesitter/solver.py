@@ -15,8 +15,11 @@ the constraint residuals of the accepted steps are computed in one batch
 once the run ends, so that drift of the algebraic relations can be
 monitored directly.  :func:`integrate_many` runs many integrations in one
 lockstep loop, batching each attempt's coefficient call and stage products
-over the members; each member's trace is bit for bit its lone
-:func:`integrate` run.
+over the members.  Both loops drive the same step controller, one
+:class:`_Member` per run, so each member's trace is bit for bit its lone
+:func:`integrate` run.  The stage arithmetic keeps its two shapes, one
+vector and a batch of them: a batch of one costs more per attempt than
+the lone loop.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ import numpy as np
 from .radial import ConstraintSet, RadialSystem, SystemBatch, constraint_rank
 
 _HALF_PI = 0.5 * np.pi
-# eigenvector components whose moduli differ by less than this fraction count
-# as equal when frobenius picks the component to make real and positive
-_PHASE_TIE_RTOL = 1e-8
+# frobenius counts as equal two exponents' real parts that differ by less than
+# this fraction of the largest |exponent|, and two eigenvector components whose
+# moduli differ by less than this fraction
+_TIE_RTOL = 1e-8
 
 # Dormand-Prince 5(4) tableau: row i < 5 holds the weights of stages 0..i in
 # the input of stage i + 1; row 5 those of stages 0..5 in the fifth-order
@@ -85,7 +89,8 @@ class IndicialData:
     """Local power-law data of a singular endpoint.
 
     ``exponents`` are the eigenvalues of the residue matrix
-    lim (omega - w0) A(omega), sorted by descending real part;
+    lim (omega - w0) A(omega), sorted by descending real part (then by
+    descending imaginary part where real parts tie, see :func:`frobenius`);
     solutions behave like |omega - w0|^exponent near the endpoint.
     """
 
@@ -160,7 +165,6 @@ def integrate(
     omega_end: float,
     y0: np.ndarray,
     tol: float = 1e-10,
-    h0: float | None = None,
     max_steps: int = 200_000,
 ) -> SolutionTrace:
     """Integrate Y' = A(omega) Y from omega_start to omega_end.
@@ -176,82 +180,115 @@ def integrate(
     carrying the partial trace, while a persistently rejected step raises
     :class:`ToleranceError`.
     """
-    y, direction, h, h_min = _first_step(system, omega_start, omega_end, y0, h0)
+    run = _Member(system, constraints, omega_start, omega_end, y0, tol, max_steps)
+    y = run.states[0]
     n = y.size
+    k_first = system.matrix(run.w) @ y
 
-    w = float(omega_start)
-    k_first = system.matrix(w) @ y
-    omegas, states, steps, errors, stages = [w], [y], [0.0], [0.0], []
-    rhs_evals, rejected = 1, 0
-    err_prev = 1.0
-    rejected_in_a_row = 0
-
-    for _ in range(max_steps):
-        if direction * (omega_end - w) <= 0:
-            break
-        if abs(h) < h_min:
-            trace = _finalize(
-                constraints, omegas, states, steps, errors, stages, rejected, rhs_evals
-            )
-            raise SingularityError(
-                f"step size underflow at omega = {w:.6g} (h = {abs(h):.3e})", trace
-            )
-        if direction * (w + h - omega_end) > 0:
-            h = omega_end - w
-
-        a = system.matrices(w + _C[1:6] * h)
+    while (outcome := run.before_attempt()) is None:
+        h = run.h
+        a = system.matrices(run.w + _C[1:6] * h)
         k = np.empty((7, n), dtype=complex)
         k[0] = k_first
         for i in range(5):
             k[i + 1] = a[i] @ (y + h * (_TABLEAU[i, : i + 1] @ k[: i + 1]))
         y_new = y + h * (_TABLEAU[5, :6] @ k[:6])
         k[6] = a[4] @ y_new
-        rhs_evals += 6
         scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
         err = math.sqrt((np.abs(h * (_TABLEAU[6] @ k) / scale) ** 2).sum() / n)
+        if run.after_attempt(err, y_new, k):
+            y, k_first = y_new, k[6]
 
-        if err <= 1.0:
-            # accepted: keep the stages for the dense output, then advance
-            stages.append(k)
-            w = w + h
-            y = y_new
-            k_first = k[6]
-            omegas.append(w)
-            states.append(y)
-            steps.append(h)
-            errors.append(err)
-            fac = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0 else 5.0
-            err_prev = max(err, 1e-4)
-            rejected_in_a_row = 0
-        else:
-            fac = max(0.2, 0.9 * err ** -0.2)
-            rejected += 1
-            rejected_in_a_row += 1
-            if rejected_in_a_row > 60:
-                raise ToleranceError(
-                    f"unable to meet tol = {tol:.1e} at omega = {w:.6g} "
-                    f"(error estimate {err:.3e})"
-                )
-        h = h * min(5.0, max(0.2, fac))
-    else:
-        raise ToleranceError(f"exceeded {max_steps} steps before reaching omega_end")
-
-    return _finalize(constraints, omegas, states, steps, errors, stages, rejected, rhs_evals)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 class _Member:
-    """Step-control state and accepted steps of one member of :func:`integrate_many`."""
+    """Step control and accepted steps of one Dormand-Prince run.
 
-    def __init__(self, system, constraints, omega_start, omega_end, y0, tol):
-        self.y, self.direction, self.h, self.h_min = _first_step(
-            system, omega_start, omega_end, y0, None
+    The one step controller of :func:`integrate` and of every member of
+    :func:`integrate_many`; the loops only do the stage arithmetic.
+    :meth:`before_attempt` ends the run or clips the step to the end, and
+    :meth:`after_attempt` accepts or rejects an attempt and sets the next
+    step (PI control, Hairer, Norsett & Wanner, *Solving ODEs I*, II.4).
+    """
+
+    def __init__(self, system, constraints, omega_start, omega_end, y0, tol, max_steps):
+        lo, hi = sorted((omega_start, omega_end))
+        if not (0.0 < lo and hi < _HALF_PI):
+            raise ValueError("integration range must be inside (0, pi/2)")
+        y = np.asarray(y0, dtype=complex).copy()
+        if y.shape != (system.dimension,):
+            raise ValueError(f"state must have shape ({system.dimension},)")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("initial state must be finite")
+        self.direction = 1.0 if omega_end >= omega_start else -1.0
+        span = abs(omega_end - omega_start)
+        self.h = self.direction * min(1e-2, 0.1 * span)
+        self.h_min = max(1e-14, 4.0 * np.finfo(float).eps * span)
+        self.constraints, self.end, self.tol, self.max_steps = (
+            constraints, omega_end, tol, max_steps
         )
-        self.constraints, self.end, self.tol = constraints, omega_end, tol
         self.w = float(omega_start)
-        self.omegas, self.states, self.steps, self.errors = [self.w], [self.y], [0.0], [0.0]
+        self.omegas, self.states, self.steps, self.errors = [self.w], [y], [0.0], [0.0]
         self.stages = []
         self.rhs_evals, self.rejected, self.attempts = 1, 0, 0
         self.err_prev, self.rejected_in_a_row = 1.0, 0
+        self.failure = None
+
+    def before_attempt(self):
+        """None if another attempt is due (its step clipped to the end), else the outcome.
+
+        The outcome is the trace, the :class:`SingularityError` of an
+        underflowed step or the :class:`ToleranceError` of a run that is
+        out of attempts or was rejected too often in a row.
+        """
+        if self.failure is not None:
+            return self.failure
+        if self.attempts == self.max_steps:
+            return ToleranceError(f"exceeded {self.max_steps} steps before reaching omega_end")
+        if self.direction * (self.end - self.w) <= 0:
+            return self.trace()
+        if abs(self.h) < self.h_min:
+            return SingularityError(
+                f"step size underflow at omega = {self.w:.6g} (h = {abs(self.h):.3e})",
+                self.trace(),
+            )
+        if self.direction * (self.w + self.h - self.end) > 0:
+            self.h = self.end - self.w
+        return None
+
+    def after_attempt(self, err: float, y_new: np.ndarray, k: np.ndarray) -> bool:
+        """Accept or reject the attempt with error norm ``err``; True if accepted.
+
+        An accepted step keeps ``y_new`` and the stages ``k`` (views are
+        fine: the loops never write into them afterwards).
+        """
+        self.attempts += 1
+        self.rhs_evals += 6
+        accepted = err <= 1.0
+        if accepted:
+            self.stages.append(k)
+            self.w = self.w + self.h
+            self.omegas.append(self.w)
+            self.states.append(y_new)
+            self.steps.append(self.h)
+            self.errors.append(err)
+            fac = 0.9 * err ** -0.14 * self.err_prev ** 0.08 if err > 0 else 5.0
+            self.err_prev = max(err, 1e-4)
+            self.rejected_in_a_row = 0
+        else:
+            fac = max(0.2, 0.9 * err ** -0.2)
+            self.rejected += 1
+            self.rejected_in_a_row += 1
+            if self.rejected_in_a_row > 60:
+                self.failure = ToleranceError(
+                    f"unable to meet tol = {self.tol:.1e} at omega = {self.w:.6g} "
+                    f"(error estimate {err:.3e})"
+                )
+        self.h = self.h * min(5.0, max(0.2, fac))
+        return accepted
 
     def trace(self) -> SolutionTrace:
         return _finalize(
@@ -277,10 +314,11 @@ def integrate_many(
     member or one value each.  Every iteration makes one attempt for each
     unfinished member: one batched coefficient call for all their stage
     abscissae (:class:`~rsdesitter.radial.SystemBatch`), stage products
-    batched over the members, then each member's own error control.  Each
-    member's arithmetic is that of :func:`integrate`, so its trace equals a
-    lone run's: the same omegas, states, errors, dense output, residuals
-    and counts.
+    batched over the members, then each member's own step control, the
+    :class:`_Member` that :func:`integrate` drives too.  Each member's
+    arithmetic is that of :func:`integrate`, so its trace equals a lone
+    run's: the same omegas, states, errors, dense output, residuals and
+    counts.
 
     Returns one entry per member: its :class:`SolutionTrace`, or the
     :class:`SingularityError` (with its partial trace) or
@@ -297,39 +335,23 @@ def integrate_many(
         for v in (omega_start, omega_end, tol)
     ]
     members = [
-        _Member(s, c, w0, w1, y0, t)
+        _Member(s, c, w0, w1, y0, t, max_steps)
         for s, c, y0, w0, w1, t in zip(systems, constraints, y0s, *per_member)
     ]
     batch = SystemBatch.of(systems)
     n = batch.dimension
     results = [None] * count
     active = list(range(count))
-    y = np.array([m.y for m in members])
+    y = np.array([m.states[0] for m in members])
     start = np.array([[m.w] for m in members])
     k_first = (batch.matrices(start)[:, 0] @ y[..., None])[..., 0]
     tols = np.array([[m.tol] for m in members])
 
     while active:
-        # members leave where integrate would, checked in its order
         keep = []
         for pos, b in enumerate(active):
-            m = members[b]
-            if results[b] is not None:
-                continue
-            if m.attempts == max_steps:
-                results[b] = ToleranceError(
-                    f"exceeded {max_steps} steps before reaching omega_end"
-                )
-            elif m.direction * (m.end - m.w) <= 0:
-                results[b] = m.trace()
-            elif abs(m.h) < m.h_min:
-                results[b] = SingularityError(
-                    f"step size underflow at omega = {m.w:.6g} (h = {abs(m.h):.3e})",
-                    m.trace(),
-                )
-            else:
-                if m.direction * (m.w + m.h - m.end) > 0:
-                    m.h = m.end - m.w
+            results[b] = members[b].before_attempt()
+            if results[b] is None:
                 keep.append(pos)
         if len(keep) < len(active):
             active = [active[p] for p in keep]
@@ -352,55 +374,14 @@ def integrate_many(
         k[:, 6] = (a[:, 4] @ y_new[..., None])[..., 0]
         scale = tols + tols * np.maximum(np.abs(y), np.abs(y_new))
         squares = (np.abs(h * (_TABLEAU[6] @ k) / scale) ** 2).sum(axis=1).tolist()
-
-        accepted = np.zeros(len(run), dtype=bool)
-        for pos, (b, m) in enumerate(zip(active, run)):
-            m.attempts += 1
-            m.rhs_evals += 6
-            err = math.sqrt(squares[pos] / n)
-            if err <= 1.0:
-                m.stages.append(k[pos])
-                m.w = m.w + m.h
-                m.omegas.append(m.w)
-                m.states.append(y_new[pos])
-                m.steps.append(m.h)
-                m.errors.append(err)
-                fac = 0.9 * err ** -0.14 * m.err_prev ** 0.08 if err > 0 else 5.0
-                m.err_prev = max(err, 1e-4)
-                m.rejected_in_a_row = 0
-                accepted[pos] = True
-            else:
-                fac = max(0.2, 0.9 * err ** -0.2)
-                m.rejected += 1
-                m.rejected_in_a_row += 1
-                if m.rejected_in_a_row > 60:
-                    results[b] = ToleranceError(
-                        f"unable to meet tol = {m.tol:.1e} at omega = {m.w:.6g} "
-                        f"(error estimate {err:.3e})"
-                    )
-            m.h = m.h * min(5.0, max(0.2, fac))
+        accepted = np.array(
+            [m.after_attempt(math.sqrt(sq / n), y_new[pos], k[pos])
+             for pos, (m, sq) in enumerate(zip(run, squares))]
+        )
         # new arrays, never writes into y_new or k: the traces keep views of them
         y = np.where(accepted[:, None], y_new, y)
         k_first = np.where(accepted[:, None], k[:, 6], k_first)
     return results
-
-
-def _first_step(system, omega_start, omega_end, y0, h0):
-    """Checked copy of the initial state, direction, first step and smallest step."""
-    lo, hi = sorted((omega_start, omega_end))
-    if not (0.0 < lo and hi < _HALF_PI):
-        raise ValueError("integration range must be inside (0, pi/2)")
-    y = np.asarray(y0, dtype=complex).copy()
-    if y.shape != (system.dimension,):
-        raise ValueError(f"state must have shape ({system.dimension},)")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("initial state must be finite")
-
-    direction = 1.0 if omega_end >= omega_start else -1.0
-    span = abs(omega_end - omega_start)
-    h = direction * (h0 if h0 is not None else min(1e-2, 0.1 * span))
-    h_min = max(1e-14, 4.0 * np.finfo(float).eps * span)
-    return y, direction, h, h_min
 
 
 def _finalize(
@@ -446,21 +427,29 @@ def frobenius(system: RadialSystem, endpoint: str) -> IndicialData:
 
     The residue lim (omega - w0) A(omega) and the subleading constant term
     are the closed forms of :meth:`RadialSystem.laurent`.  Exponents come
-    sorted by descending real part, with unit eigenvectors as matching
-    columns of ``vectors``.  Each eigenvector's largest-modulus component is
-    real and positive; where several are equal in modulus to within
-    ``_PHASE_TIE_RTOL``, the lowest index is taken.  So the vectors do not
-    depend on last-bit changes of the residue, except inside a degenerate
-    eigenspace, whose basis is still ``np.linalg.eig``'s choice.
+    sorted by descending real part, real parts equal to within ``_TIE_RTOL``
+    by descending imaginary part, with unit eigenvectors as matching columns
+    of ``vectors``.  Each eigenvector's largest-modulus component is real
+    and positive; where several are equal in modulus to within
+    ``_TIE_RTOL``, the lowest index is taken.  So neither the order nor the
+    vectors depend on last-bit changes of the residue, except inside a
+    degenerate eigenspace, whose basis is still ``np.linalg.eig``'s choice.
     """
     residue, subleading = system.laurent(endpoint)
     lam, vec = np.linalg.eig(residue)
-    order = np.lexsort((-lam.imag, -lam.real))
+    # a real part within _TIE_RTOL of the one before it sorts as equal to
+    # it, so the imaginary parts order such runs and not rounding noise
+    order = np.argsort(-lam.real, kind="stable")
+    real_key = lam.real[order]
+    for i in range(1, len(real_key)):
+        if real_key[i - 1] - real_key[i] <= _TIE_RTOL * np.abs(lam).max():
+            real_key[i] = real_key[i - 1]
+    order = order[np.lexsort((-lam.imag[order], -real_key))]
     lam, vec = lam[order], vec[:, order]
     # fix each vector's free phase: its largest component becomes real and
     # positive, and of components equal in modulus to rounding the first wins
     mags = np.abs(vec)
-    lead = np.argmax(mags >= (1.0 - _PHASE_TIE_RTOL) * mags.max(axis=0), axis=0)
+    lead = np.argmax(mags >= (1.0 - _TIE_RTOL) * mags.max(axis=0), axis=0)
     pivot = vec[lead, np.arange(len(lam))]
     vec = vec * (pivot.conj() / np.abs(pivot))
     eig_res = np.array(

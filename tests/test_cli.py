@@ -143,21 +143,26 @@ def test_integrate_failure_writes_only_the_manifest(tmp_path):
 
 
 def test_manifest_lists_every_output_once(tmp_path):
-    code = run(
-        ["sweep", "--j", "1/2", "--from", "0.3", "--to", "1.0", "--eps-list", "1.0",
-         "--mass-list", "0.0,0.5", "--workers", "1", "--out", str(tmp_path)]
-    )
-    assert code == 0
-    manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
-    listed = [o["path"] for o in manifest["outputs"]]
-    assert len(listed) == len(set(listed))
-    produced = sorted(
-        p for p in os.listdir(tmp_path) if p.startswith("sweep_")
-    )
-    assert sorted(listed) == produced
-    for entry in manifest["outputs"]:
-        digest = hashlib.sha256((tmp_path / entry["path"]).read_bytes()).hexdigest()
-        assert digest == entry["sha256"]
+    sweeps = [
+        (["--j", "1/2", "--to", "1.0", "--eps-list", "1.0", "--mass-list", "0.0,0.5"], 0, 4, 4),
+        # of these two jobs one underflows next to the horizon: it writes only its manifest
+        (["--j", "3/2", "--to", "1.57079632679", "--tol", "1e-8", "--eps-list", "1.3",
+          "--mass-list", "0.5"], cli.NUMERICAL_ERROR, 2, 1),
+    ]
+    for k, (argv, expected, jobs, csvs) in enumerate(sweeps):
+        out = tmp_path / str(k)
+        code = run(["sweep", *argv, "--from", "0.3", "--workers", "1", "--out", str(out)])
+        assert code == expected
+        manifest = json.loads((out / "sweep.manifest.json").read_text())
+        listed = [o["path"] for o in manifest["outputs"]]
+        assert len(listed) == len(set(listed))
+        produced = sorted(p for p in os.listdir(out) if p.startswith("sweep_"))
+        assert sorted(listed) == produced
+        assert sum(p.endswith(".manifest.json") for p in produced) == jobs
+        assert sum(p.endswith(".csv") for p in produced) == csvs
+        for entry in manifest["outputs"]:
+            digest = hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
+            assert digest == entry["sha256"]
 
 
 def test_config_file_with_flag_override(tmp_path):
