@@ -33,7 +33,8 @@ import numpy as np
 
 from . import algebra, wigner
 from .geometry import RadialPoint, connections, tetrad_divergences
-from .wigner import _doubled, angular_coefficients, mixed_weight, wigner_d, wigner_d_dtheta
+from .wigner import _doubled, angular_coefficients, mixed_weight
+from .wigner import wigner_d, wigner_d_dtheta  # noqa: F401  (bench/spans.py wraps these names)
 
 # doubled helicity labels per slot, bispinor-major ordering
 SLOT_TWO_SIGMA = np.array(
@@ -61,8 +62,7 @@ class ModeLabel:
     delta: int | None = None
 
     def __post_init__(self) -> None:
-        two_j = self.two_j
-        two_m = _doubled(self.m_j, "m_j")
+        two_j, two_m = self.two_j, self.two_m
         if two_j <= 0 or two_j % 2 == 0:
             raise ValueError(f"j must be a positive half-odd integer, got {self.j}")
         if abs(two_m) > two_j or two_m % 2 == 0:
@@ -77,6 +77,10 @@ class ModeLabel:
     @functools.cached_property
     def two_j(self) -> int:
         return _doubled(self.j, "j")
+
+    @functools.cached_property
+    def two_m(self) -> int:
+        return _doubled(self.m_j, "m_j")
 
     def coefficients(self) -> wigner.AngularCoefficients:
         return angular_coefficients(self.j)
@@ -109,25 +113,39 @@ def random_state(mode: ModeLabel, rng: np.random.Generator) -> np.ndarray:
     return state
 
 
+@functools.lru_cache(maxsize=128)
+def _slot_weights(two_j: int, two_m: int, two_sigmas: tuple[int, ...]) -> np.ndarray:
+    """Value rows, then derivative rows, of d^j_{-m, sigma} over the power basis.
+
+    Shape (2 * len(two_sigmas), 2j+1); a helicity with |sigma| > j gets zero
+    rows.  Cached per labels and read-only.
+    """
+    table = np.zeros((2, len(two_sigmas), two_j + 1))
+    for i, two_sigma in enumerate(two_sigmas):
+        if abs(two_sigma) <= two_j:
+            table[:, i] = wigner.d_weights(two_j, -two_m, two_sigma)
+    table = table.reshape(2 * len(two_sigmas), two_j + 1)
+    table.flags.writeable = False
+    return table
+
+
 def slot_functions(mode: ModeLabel, two_sigmas, theta, phi) -> tuple[np.ndarray, np.ndarray]:
     """exp(i m phi) d^j_{-m, sigma}(theta) and its theta-derivative per helicity.
 
     ``two_sigmas`` lists doubled helicities; theta and phi are scalars or
     arrays of one shape.  Returns (values, dtheta), each of shape
-    (len(two_sigmas),) + that shape, with one :func:`wigner_d` and one
-    :func:`wigner_d_dtheta` call per distinct helicity.  A helicity with
-    |sigma| > j has no function at this j and gives zero rows.
+    (len(two_sigmas),) + that shape.  Both come from one product of the
+    cached stack of :func:`~rsdesitter.wigner.d_weights` rows of the
+    requested helicities with :func:`~rsdesitter.wigner.power_basis`.  A
+    helicity with |sigma| > j has no function at this j and gives zero rows.
     """
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
-    distinct, row = np.unique(np.asarray(two_sigmas, dtype=int), return_inverse=True)
-    phase = np.exp(1j * mode.m_j * phi)
-    table = np.zeros((2, distinct.size) + theta.shape, dtype=complex)
-    for i, two_sigma in enumerate(distinct):
-        if abs(two_sigma) <= mode.two_j:
-            labels = (mode.j, -mode.m_j, two_sigma / 2.0, theta)
-            table[0, i] = phase * wigner_d(*labels)
-            table[1, i] = phase * wigner_d_dtheta(*labels)
-    return table[0, row.ravel()], table[1, row.ravel()]
+    two_sigmas = tuple(np.asarray(two_sigmas, dtype=int).ravel().tolist())
+    weights = _slot_weights(mode.two_j, mode.two_m, two_sigmas)
+    basis = wigner.power_basis(mode.two_j, theta).reshape(mode.two_j + 1, -1)
+    table = (weights @ basis) * np.exp(1j * mode.m_j * phi).ravel()
+    table = table.reshape((2, len(two_sigmas)) + theta.shape)
+    return table[0], table[1]
 
 
 def slot_table(mode: ModeLabel, theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -4,9 +4,17 @@ The angular factor attached to a slot with helicity label sigma is
 
     D_sigma(theta, phi) = exp(i m phi) d^j_{-m, sigma}(theta),
 
-with the small d-function evaluated from the explicit factorial sum.  This
-sign convention is the one under which the raising/lowering recurrences in
-theta (listed in :func:`recurrence_residuals`) hold with the coefficients
+with the small d-function taken from the explicit factorial sum.  Every term
+of that sum, and of its theta-derivative, is a power-basis function
+c^(2j-q) s^q with c = cos(theta/2), s = sin(theta/2), so for fixed labels
+both functions are constant weight rows over one basis.  :func:`d_weights`
+builds the two rows once per label triple, in exact integer arithmetic, and
+caches them read-only; :func:`wigner_d` and :func:`wigner_d_dtheta` each
+make one product of a row with :func:`power_basis`.
+
+This sign convention is the one under which the raising/lowering
+recurrences in theta (listed in :func:`recurrence_residuals`) hold with the
+coefficients
 
     a = j + 1/2,
     b = sqrt((j - 1/2)(j + 3/2)),
@@ -21,8 +29,10 @@ Half-integers are validated exactly by doubling to odd integers.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -76,16 +86,23 @@ def ladder_coefficients(j, sigma) -> tuple[float, float]:
     return float(np.sqrt(max(low, 0.0))), float(np.sqrt(max(high, 0.0)))
 
 
-def _factorial_sum(j, mp, m, theta, deriv: bool):
-    """d^j_{mp, m}(theta), or its termwise theta-derivative when ``deriv``.
+@functools.lru_cache(maxsize=1024)
+def d_weights(two_j: int, two_mp: int, two_m: int) -> np.ndarray:
+    """Weights of d^j_{mp, m} and its theta-derivative on :func:`power_basis`.
 
-    Each term of the sum is c^p s^q with c = cos(theta/2), s = sin(theta/2);
-    the derivative path differentiates the powers, the value path never
-    forms the derivative terms.
+    Labels are doubled.  In the factorial sum (Varshalovich, Moskalev &
+    Khersonskii, section 4.3)
+
+        d^j_{mp, m} = sqrt((j+mp)! (j-mp)! / ((j+m)! (j-m)!))
+                      * sum_k (-1)^(mp-m+k) C(j+m, k) C(j-m, mp-m+k) c^p s^q,
+
+    with c = cos(theta/2), s = sin(theta/2), p = 2j - q and q = mp - m + 2k,
+    every term is a power-basis function, and so is every term of its
+    theta-derivative.  Row 0 holds the value weights, row 1 the derivative
+    weights, column q the weight of c^(2j-q) s^q.  The binomial rows are
+    exact integers; each weight is rounded once.  The returned (2, 2j+1)
+    array is cached and read-only.
     """
-    two_j = _doubled(j, "j")
-    two_mp = _doubled(mp, "mp")
-    two_m = _doubled(m, "m")
     if two_j < 0:
         raise ValueError("j must be non-negative")
     for lbl, val in (("mp", two_mp), ("m", two_m)):
@@ -94,52 +111,62 @@ def _factorial_sum(j, mp, m, theta, deriv: bool):
 
     jm = (two_j + two_m) // 2
     jmm = (two_j - two_m) // 2
-    jmp = (two_j + two_mp) // 2
-    jmmp = (two_j - two_mp) // 2
     dm = (two_mp - two_m) // 2  # mp - m
-
-    pref = np.sqrt(
-        float(factorial(jmp)) * factorial(jmmp) * factorial(jm) * factorial(jmm)
-    )
-    c = np.cos(np.asarray(theta) / 2.0)
-    s = np.sin(np.asarray(theta) / 2.0)
-
-    total = np.zeros_like(np.asarray(theta, dtype=float))
-    for k in range(max(0, -dm), min(jm, jmmp) + 1):
-        denom = (
-            factorial(jm - k) * factorial(k) * factorial(jmmp - k) * factorial(dm + k)
-        )
-        sign = -1.0 if (dm + k) % 2 else 1.0
-        p = jm + jmmp - 2 * k  # power of cos(theta/2)
-        q = dm + 2 * k  # power of sin(theta/2)
-        if not deriv:
-            total = total + (sign / denom) * c**p * s**q
-            continue
-        term = np.zeros_like(total)
+    value = [0] * (two_j + 1)
+    twice_dtheta = [0] * (two_j + 1)
+    for k in range(max(0, -dm), min(jm, jmm - dm) + 1):
+        term = (-1) ** (dm + k) * comb(jm, k) * comb(jmm, dm + k)
+        q = dm + 2 * k  # power of sin(theta/2); two_j - q is the power of cos
+        value[q] = term
         if q > 0:
-            term = term + 0.5 * q * c ** (p + 1) * s ** (q - 1)
-        if p > 0:
-            term = term - 0.5 * p * c ** (p - 1) * s ** (q + 1)
-        total = total + (sign / denom) * term
-    out = pref * total
+            twice_dtheta[q - 1] += q * term
+        if q < two_j:
+            twice_dtheta[q + 1] -= (two_j - q) * term
+    num = factorial((two_j + two_mp) // 2) * factorial((two_j - two_mp) // 2)
+    den = factorial(jm) * factorial(jmm)
+    table = np.array(
+        [
+            [math.copysign(math.sqrt(w * w * num / den), w) for w in value],
+            [math.copysign(math.sqrt(w * w * num / (4 * den)), w) for w in twice_dtheta],
+        ]
+    )
+    table.flags.writeable = False
+    return table
+
+
+def power_basis(two_j: int, theta) -> np.ndarray:
+    """P_q(theta) = cos(theta/2)^(2j-q) sin(theta/2)^q for q = 0..2j.
+
+    Shape (2j+1,) + shape of theta; the basis of :func:`d_weights`.
+    """
+    half = np.asarray(theta, dtype=float) / 2.0
+    q = np.arange(two_j + 1).reshape((-1,) + (1,) * half.ndim)
+    return np.cos(half) ** (two_j - q) * np.sin(half) ** q
+
+
+def _weighted(row: int, j, mp, m, theta):
+    two_j = _doubled(j, "j")
+    weights = d_weights(two_j, _doubled(mp, "mp"), _doubled(m, "m"))[row]
+    basis = power_basis(two_j, theta)
+    out = (weights @ basis.reshape(two_j + 1, -1)).reshape(basis.shape[1:])
     return out if out.ndim else float(out)
 
 
 def wigner_d(j, mp, m, theta):
-    """Small Wigner function d^j_{mp, m}(theta) from the factorial sum.
+    """Small Wigner function d^j_{mp, m}(theta), one row of :func:`d_weights`.
 
     ``theta`` may be a scalar or an ndarray.  Labels may be any
     (half-)integers with |mp|, |m| <= j and j - mp, j - m integral.
     """
-    return _factorial_sum(j, mp, m, theta, deriv=False)
+    return _weighted(0, j, mp, m, theta)
 
 
 def wigner_d_dtheta(j, mp, m, theta):
-    """Analytic theta-derivative of the small d-function (termwise).
+    """Analytic theta-derivative of the small d-function, the other row.
 
     Takes the labels of :func:`wigner_d` and rejects the same invalid ones.
     """
-    return _factorial_sum(j, mp, m, theta, deriv=True)
+    return _weighted(1, j, mp, m, theta)
 
 
 def wigner_D(j, m, sigma, theta, phi):

@@ -178,6 +178,53 @@ def test_config_file_with_flag_override(tmp_path):
     assert abs(first_omega - 0.4) < 1e-12  # flag wins over the config value
 
 
+def test_manifest_bytes_are_sorted_indented_json(tmp_path):
+    manifest = cli.Manifest("probe", {"eps": 1.3 + 0.2j, "seed": 7, "note": "a\nb"})
+    plain = cli.Manifest("probe", {})
+    plain.write(str(tmp_path / "empty.json"))
+    manifest.check("passes", 1e-14, 1e-12)
+    manifest.check("fails", 1.0, 1e-12)
+    manifest.warn("launch residual 8.7e-02\nsecond line \u00e9")
+    manifest.add_output("/some/dir/trace.csv", "trace-csv", "ab" * 32)
+    manifest.data["stats"] = {"accepted_steps": 3, "step_range": [0.01, 0.2]}
+    digest = manifest.write(str(tmp_path / "full.json"))
+    edited = cli.Manifest("probe", {})
+    edited.data["adjudications"] = edited.data["adjudications"][:2]
+    edited.write(str(tmp_path / "edited.json"))
+    for name, m in (("empty.json", plain), ("full.json", manifest), ("edited.json", edited)):
+        expected = json.dumps(m.data, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / name).read_text(encoding="utf-8") == expected
+    assert manifest.data["status"] == "check-failed"
+    assert digest == hashlib.sha256((tmp_path / "full.json").read_bytes()).hexdigest()
+
+
+def test_successive_main_calls_share_one_parser_and_no_values(tmp_path, monkeypatch):
+    seen = []
+    for name in ("run_verify", "run_reduce", "run_integrate"):
+        monkeypatch.setattr(cli, name, lambda args, outdir: seen.append(vars(args).copy()) or 0)
+    conf = tmp_path / "run.conf"
+    conf.write_text("m = 3/2\ngrid = 7\neps = 1.3\nmass = 0.7\ntol = 1e-9\n")
+    out = ["--out", str(tmp_path)]
+    calls = [
+        ["verify", "wigner", "--j", "5/2", "--config", str(conf), *out],
+        ["verify", "wigner", "--j", "5/2", *out],
+        ["integrate", "--j", "1/2", "--delta", "+1", "--config", str(conf),
+         "--from", "0.3", "--to", "1.0", *out],
+        ["reduce", "--j", "3/2", "--delta", "-1", "--omega", "0.5", *out],
+        ["integrate", "--j", "1/2", "--delta", "+1", "--from", "0.3", "--to", "1.0", *out],
+    ]
+    for argv in calls:
+        assert cli.main(argv) == 0
+    assert cli._build_parser() is cli._build_parser()
+    assert (seen[0]["m"], seen[0]["grid"]) == ("3/2", 7)
+    assert (seen[1]["m"], seen[1]["grid"]) == (None, 100)
+    assert (seen[2]["eps"], seen[2]["mass"], seen[2]["tol"]) == ("1.3", 0.7, 1e-9)
+    assert (seen[3]["eps"], seen[3]["mass"], seen[3]["delta"]) == ("0", 0.0, "-1")
+    assert "grid" not in seen[3] and "tol" not in seen[3]
+    assert (seen[4]["eps"], seen[4]["mass"], seen[4]["tol"]) == ("0", 0.0, 1e-10)
+    assert [s["command"] for s in seen] == ["verify", "verify", "integrate", "reduce", "integrate"]
+
+
 def test_usage_errors(tmp_path):
     assert run(["integrate", "--j", "2/3", "--delta", "+1", "--from", "0.3",
                 "--to", "1.0", "--out", str(tmp_path)]) == cli.USAGE_ERROR

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from math import factorial
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsdesitter import wigner
+from rsdesitter import ansatz, wigner
 
 HALF_J = st.sampled_from([0.5, 1.5, 2.5, 3.5])
 
@@ -11,6 +17,120 @@ HALF_J = st.sampled_from([0.5, 1.5, 2.5, 3.5])
 def _projections(j):
     two_j = int(round(2 * j))
     return [m / 2.0 for m in range(-two_j, two_j + 1, 2)]
+
+
+def _explicit_sum(j, mp, m, theta, deriv=False):
+    """Oracle: d^j_{mp, m}(theta), or its theta-derivative, term by term in floats.
+
+    The factorial sum of Varshalovich, Moskalev & Khersonskii, section 4.3,
+    each term c^p s^q (c = cos(theta/2), s = sin(theta/2)) evaluated and
+    differentiated on its own.
+    """
+    two_j, two_mp, two_m = (int(round(2 * x)) for x in (j, mp, m))
+    jm, jmm = (two_j + two_m) // 2, (two_j - two_m) // 2
+    jmp, jmmp = (two_j + two_mp) // 2, (two_j - two_mp) // 2
+    dm = (two_mp - two_m) // 2
+    pref = np.sqrt(float(factorial(jmp)) * factorial(jmmp) * factorial(jm) * factorial(jmm))
+    c = np.cos(np.asarray(theta) / 2.0)
+    s = np.sin(np.asarray(theta) / 2.0)
+    total = np.zeros_like(np.asarray(theta, dtype=float))
+    for k in range(max(0, -dm), min(jm, jmmp) + 1):
+        denom = factorial(jm - k) * factorial(k) * factorial(jmmp - k) * factorial(dm + k)
+        sign = -1.0 if (dm + k) % 2 else 1.0
+        p, q = jm + jmmp - 2 * k, dm + 2 * k
+        if not deriv:
+            total = total + (sign / denom) * c**p * s**q
+            continue
+        term = np.zeros_like(total)
+        if q > 0:
+            term = term + 0.5 * q * c ** (p + 1) * s ** (q - 1)
+        if p > 0:
+            term = term - 0.5 * p * c ** (p - 1) * s ** (q + 1)
+        total = total + (sign / denom) * term
+    return pref * total
+
+
+ORACLE_THETAS = np.concatenate([[0.0, np.pi], np.linspace(0.0, np.pi, 61)[1:-1], [1e-8, np.pi - 1e-8]])
+
+
+def test_table_matches_explicit_sum_for_every_label():
+    for two_j in range(1, 8, 2):
+        j = two_j / 2
+        for mp in _projections(j):
+            for m in _projections(j):
+                for deriv, fun in ((False, wigner.wigner_d), (True, wigner.wigner_d_dtheta)):
+                    expected = _explicit_sum(j, mp, m, ORACLE_THETAS, deriv)
+                    got = fun(j, mp, m, ORACLE_THETAS)
+                    assert got.shape == ORACLE_THETAS.shape
+                    assert np.abs(got - expected).max() < 1e-14, (j, mp, m, deriv)
+                    for theta in (0.0, 1.1, np.pi):
+                        scalar = fun(j, mp, m, theta)
+                        assert isinstance(scalar, float)
+                        assert abs(scalar - _explicit_sum(j, mp, m, theta, deriv)) < 1e-14
+
+
+def test_slot_functions_match_explicit_sum_per_helicity():
+    thetas = np.linspace(0.2, 2.9, 7).reshape(7, 1)
+    phis = np.linspace(-1.0, 4.0, 3).reshape(1, 3)
+    two_sigmas = (-5, -3, -1, 1, 3, 5, 1, -3)  # repeats and |sigma| > j included
+    for two_j in range(1, 8, 2):
+        for two_m in range(-two_j, two_j + 1, 2):
+            mode = ansatz.ModeLabel(j=two_j / 2, m_j=two_m / 2)
+            values, dtheta = ansatz.slot_functions(mode, two_sigmas, thetas, phis)
+            assert values.shape == dtheta.shape == (len(two_sigmas), 7, 3)
+            phase = np.exp(1j * mode.m_j * phis)
+            for i, two_sigma in enumerate(two_sigmas):
+                if abs(two_sigma) > two_j:
+                    assert not values[i].any() and not dtheta[i].any()
+                    continue
+                labels = (mode.j, -mode.m_j, two_sigma / 2, thetas)
+                assert np.abs(values[i] - phase * _explicit_sum(*labels)).max() < 1e-14
+                assert np.abs(dtheta[i] - phase * _explicit_sum(*labels, deriv=True)).max() < 1e-14
+            one = ansatz.slot_functions(mode, two_sigmas, 0.7, 1.3)
+            assert one[0].shape == one[1].shape == (len(two_sigmas),)
+
+
+def _worst_row_normalization(d, max_two_j):
+    # rows m > 0 only: d^j_{m, -sigma} = (-1)^(m + sigma) d^j_{-m, sigma} mirrors the rest
+    thetas = np.linspace(0.0, np.pi, 41)
+    worst = 0.0
+    for two_j in range(1, max_two_j + 1, 2):
+        sigmas = _projections(two_j / 2)
+        for m in sigmas[len(sigmas) // 2:]:
+            total = sum(d(two_j / 2, -m, sigma, thetas) ** 2 for sigma in sigmas)
+            worst = max(worst, float(np.abs(total - 1.0).max()))
+    return worst
+
+
+def test_row_normalization_to_large_j_no_worse_than_explicit_sum():
+    # both lose digits to the alternating sum as j grows (ROADMAP item 6)
+    table = _worst_row_normalization(wigner.wigner_d, 41)
+    assert table <= _worst_row_normalization(_explicit_sum, 41)
+    assert table < 1e-10
+
+
+def test_weight_caches_are_bounded_read_only_and_empty_after_import():
+    rows = wigner.d_weights(3, 1, -1)
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1.0
+    stack = ansatz._slot_weights(3, 1, (1, -1, 5))
+    with pytest.raises(ValueError):
+        stack[0, 0] = 1.0
+    assert not stack[[2, 5]].any()  # sigma = 5/2 does not exist at j = 3/2
+    assert wigner.d_weights.cache_info().maxsize
+    assert ansatz._slot_weights.cache_info().maxsize
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import rsdesitter.cli, rsdesitter.wigner as w, rsdesitter.ansatz as a; "
+        "print(w.d_weights.cache_info().currsize, a._slot_weights.cache_info().currsize)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.split() == ["0", "0"]
 
 
 def test_zero_angle_is_kronecker_delta():
