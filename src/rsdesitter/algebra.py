@@ -19,9 +19,16 @@ Conventions used throughout the package:
 s in (xi_upper, xi_lower, eta_upper, eta_lower) and l the cyclic vector
 index, so a product operator is ``np.kron(bispinor_part, vector_part)``.
 
+The frame rotation S(theta, phi) and its inverse are built for arrays of
+angles at once, as a Kronecker product of (..., 4, 4) block stacks; the
+scalar functions are the one-angle case, and the unitarity and
+momentum-conjugation checks evaluate all of their sample angles in one pass.
+
 All functions are pure and return fresh arrays, except
 :func:`generator_table`, which hands out one cached read-only table per
-generator family; values may be shared freely between threads.
+generator family, and the spin projections S_i, which are copied from one
+cached read-only (3, 16, 16) table; both are built on first use, and
+values may be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -206,18 +213,29 @@ def parity_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pb, pv, np.kron(pb, pv)
 
 
-def spinor_rotation(theta: float, phi: float) -> np.ndarray:
-    """2x2 rotation U_2(theta, phi) from the Cartesian to the spherical frame."""
+def _stacked_matrix(rows: list) -> np.ndarray:
+    """Matrix of the given entries, each broadcast over the leading angle axes."""
+    return np.stack([np.stack(np.broadcast_arrays(*row), axis=-1) for row in rows], axis=-2)
+
+
+def spinor_rotation(theta, phi) -> np.ndarray:
+    """2x2 rotation U_2(theta, phi) from the Cartesian to the spherical frame.
+
+    Angle arrays broadcast; the result then has shape (..., 2, 2).
+    """
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     ep, em = np.exp(1j * phi / 2.0), np.exp(-1j * phi / 2.0)
-    return np.array([[c * ep, s * em], [-s * ep, c * em]], dtype=complex)
+    return _stacked_matrix([[c * ep, s * em], [-s * ep, c * em]])
 
 
-def spatial_rotation(theta: float, phi: float) -> np.ndarray:
-    """3x3 real rotation carrying Cartesian vector components to spherical."""
+def spatial_rotation(theta, phi) -> np.ndarray:
+    """3x3 real rotation carrying Cartesian vector components to spherical.
+
+    Angle arrays broadcast; the result then has shape (..., 3, 3).
+    """
     ct, st = np.cos(theta), np.sin(theta)
     cp, sp = np.cos(phi), np.sin(phi)
-    return np.array(
+    return _stacked_matrix(
         [
             [ct * cp, ct * sp, -st],
             [-sp, cp, 0.0],
@@ -226,15 +244,35 @@ def spatial_rotation(theta: float, phi: float) -> np.ndarray:
     )
 
 
-def _schrodinger_blocks(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
+def _schrodinger_blocks(theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Bispinor and vector factors of S(theta, phi), each of shape (..., 4, 4)."""
     u2 = spinor_rotation(theta, phi)
-    bisp = np.zeros((4, 4), dtype=complex)
-    bisp[:2, :2] = u2
-    bisp[2:, 2:] = u2
-    vec = np.zeros((4, 4), dtype=complex)
-    vec[0, 0] = 1.0
-    vec[1:, 1:] = spatial_rotation(theta, phi)
+    bisp = np.zeros(u2.shape[:-2] + (4, 4), dtype=complex)
+    bisp[..., :2, :2] = u2
+    bisp[..., 2:, 2:] = u2
+    vec = np.zeros_like(bisp)
+    vec[..., 0, 0] = 1.0
+    vec[..., 1:, 1:] = spatial_rotation(theta, phi)
     return bisp, vec
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of the trailing matrices, broadcast over leading axes.
+
+    Entry (4 i + k, 4 j + l) is the single product a[i, j] * b[k, l], the
+    value ``np.kron`` gives for each pair of matrices.
+    """
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    n, m = a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
+    return out.reshape(out.shape[:-4] + (n, m))
+
+
+def _rotation_stack(theta, phi, inverse: bool = False) -> np.ndarray:
+    """S(theta, phi), or its closed-form inverse, shape (..., 16, 16)."""
+    bisp, vec = _schrodinger_blocks(theta, phi)
+    if inverse:
+        bisp, vec = np.swapaxes(bisp.conj(), -1, -2), np.swapaxes(vec.conj(), -1, -2)
+    return _kron(bisp, vec)
 
 
 def schrodinger_rotation(theta: float, phi: float) -> np.ndarray:
@@ -249,15 +287,29 @@ def schrodinger_rotation(theta: float, phi: float) -> np.ndarray:
             "the spherical frame is coordinate-singular there",
             stacklevel=2,
         )
-    bisp, vec = _schrodinger_blocks(theta, phi)
-    return np.kron(bisp, vec)
+    return _rotation_stack(theta, phi)
 
 
 def schrodinger_rotation_inverse(theta: float, phi: float) -> np.ndarray:
     """Closed-form inverse of S(theta, phi): adjoint spinor block, transposed
     rotation block."""
-    bisp, vec = _schrodinger_blocks(theta, phi)
-    return np.kron(bisp.conj().T, vec.conj().T)
+    return _rotation_stack(theta, phi, inverse=True)
+
+
+@functools.cache
+def _spin_table() -> np.ndarray:
+    """Read-only (3, 16, 16) stack of S_1, S_2, S_3, built on first use."""
+    eye = np.eye(4)
+    table = np.zeros((3, 16, 16), dtype=complex)
+    for i in (1, 2, 3):
+        sigma_block = np.kron(_ID2, _PAULI[i - 1])  # diag(sigma_i, sigma_i)
+        tau = np.zeros((4, 4), dtype=complex)
+        for j in range(1, 4):
+            for k in range(1, 4):
+                tau[j, k] = -1j * _levi_civita(i, j, k)
+        table[i - 1] = 0.5 * np.kron(sigma_block, eye) + np.kron(eye, tau)
+    table.flags.writeable = False
+    return table
 
 
 def spin_matrix(i: int) -> np.ndarray:
@@ -265,15 +317,11 @@ def spin_matrix(i: int) -> np.ndarray:
 
     S_i = Sigma_i/2 on the bispinor index plus the spin-1 block tau_i,
     (tau_i)[j, k] = -i eps_{ijk}, embedded in the spatial vector slots.
+    Returns a copy of a cached read-only table.
     """
     if i not in (1, 2, 3):
         raise ValueError(f"spin index must be 1..3, got {i!r}")
-    sigma_block = np.kron(_ID2, _PAULI[i - 1])  # diag(sigma_i, sigma_i)
-    tau = np.zeros((4, 4), dtype=complex)
-    for j in range(1, 4):
-        for k in range(1, 4):
-            tau[j, k] = -1j * _levi_civita(i, j, k)
-    return 0.5 * np.kron(sigma_block, np.eye(4)) + np.kron(np.eye(4), tau)
+    return _spin_table()[i - 1].copy()
 
 
 def _levi_civita(i: int, j: int, k: int) -> int:
@@ -371,24 +419,29 @@ def tilde_similarity_residuals() -> dict[str, float]:
 
 
 def unitarity_residuals() -> dict[str, float]:
+    """Deviations of U U^dagger and of S S^{-1} (five seeded angles) from I."""
     u = cyclic_transform()
     out = {"U.Udagger": float(np.abs(u @ u.conj().T - np.eye(4)).max())}
     rng = np.random.default_rng(7)
-    worst_s = 0.0
-    for _ in range(5):
-        th = rng.uniform(0.2, np.pi - 0.2)
-        ph = rng.uniform(0.0, 2 * np.pi)
-        s = schrodinger_rotation(th, ph)
-        sinv = schrodinger_rotation_inverse(th, ph)
-        worst_s = max(worst_s, float(np.abs(s @ sinv - np.eye(16)).max()))
-        worst_s = max(worst_s, float(np.abs(sinv - np.linalg.inv(s)).max()))
-    out["S.Sinv"] = worst_s
+    th, ph = _angle_draws(rng, 5, (0.2, np.pi - 0.2), (0.0, 2 * np.pi))
+    s = _rotation_stack(th, ph)
+    sinv = _rotation_stack(th, ph, inverse=True)
+    out["S.Sinv"] = max(
+        float(np.abs(s @ sinv - np.eye(16)).max()),
+        float(np.abs(sinv - np.linalg.inv(s)).max()),
+    )
     return out
 
 
 def parity_involution_residual() -> float:
     combined = parity_operators()[2]
     return float(np.abs(combined @ combined - np.eye(16)).max())
+
+
+def _angle_draws(rng, n: int, theta_range, phi_range) -> tuple[np.ndarray, np.ndarray]:
+    """n (theta, phi) pairs, drawn pair by pair as the scalar batteries drew them."""
+    pairs = [(rng.uniform(*theta_range), rng.uniform(*phi_range)) for _ in range(n)]
+    return tuple(np.array(pairs).T)
 
 
 def total_momentum_conjugation_residual(n_points: int = 20, seed: int = 0) -> float:
@@ -399,48 +452,56 @@ def total_momentum_conjugation_residual(n_points: int = 20, seed: int = 0) -> fl
     resp. S_3 sin(phi)/sin(theta) for the transverse ones (the pairing is
     fixed numerically; a transcription with sin and cos swapped fails this
     check).  Derivatives are taken by central differences.
+
+    All points are evaluated at once, one stencil angle at a time, so each
+    stack of S^{-1} is (n, 16, 16).
     """
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
     rng = np.random.default_rng(seed)
     h = 1e-6
     k = np.arange(16)
+    th, ph = _angle_draws(rng, n_points, (0.3, np.pi - 0.3), (0.0, 2 * np.pi))
+    col_th, col_ph = th[:, None], ph[:, None]
 
-    def section(theta: float, phi: float) -> np.ndarray:
-        return np.cos((k + 1) * 0.3 * theta + 0.1 * k) * np.exp(
-            1j * 0.2 * (k % 3) * phi
-        ) + 0.3 * k * np.sin(theta)
+    def section(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        return np.cos((k + 1) * 0.3 * theta[:, None] + 0.1 * k) * np.exp(
+            1j * 0.2 * (k % 3) * phi[:, None]
+        ) + 0.3 * k * np.sin(theta[:, None])
 
-    def rotated(theta: float, phi: float) -> np.ndarray:
-        return schrodinger_rotation_inverse(theta, phi) @ section(theta, phi)
+    def apply(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+        return (mat @ vecs[..., None])[..., 0]
 
-    def partials(fun, theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
-        dth = (fun(theta + h, phi) - fun(theta - h, phi)) / (2 * h)
-        dph = (fun(theta, phi + h) - fun(theta, phi - h)) / (2 * h)
+    def rotated(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        return apply(_rotation_stack(theta, phi, inverse=True), section(theta, phi))
+
+    def partials(fun) -> tuple[np.ndarray, np.ndarray]:
+        dth = (fun(th + h, ph) - fun(th - h, ph)) / (2 * h)
+        dph = (fun(th, ph + h) - fun(th, ph - h)) / (2 * h)
         return dth, dph
 
-    def orbital(i: int, dth: np.ndarray, dph: np.ndarray, theta: float, phi: float) -> np.ndarray:
-        ct = 1.0 / np.tan(theta)
+    def orbital(i: int, dth: np.ndarray, dph: np.ndarray) -> np.ndarray:
+        ct = 1.0 / np.tan(col_th)
         if i == 1:
-            return 1j * (np.sin(phi) * dth + ct * np.cos(phi) * dph)
+            return 1j * (np.sin(col_ph) * dth + ct * np.cos(col_ph) * dph)
         if i == 2:
-            return 1j * (-np.cos(phi) * dth + ct * np.sin(phi) * dph)
+            return 1j * (-np.cos(col_ph) * dth + ct * np.sin(col_ph) * dph)
         return -1j * dph
 
-    spins = {i: spin_matrix(i) for i in (1, 2, 3)}
+    spins = _spin_table()
+    f = section(th, ph)
+    rot = rotated(th, ph)
+    d_rot = partials(rotated)
+    d_sec = partials(section)
+    frame = _rotation_stack(th, ph)
+    s3f = apply(spins[2], f)
     worst = 0.0
-    for _ in range(n_points):
-        th = rng.uniform(0.3, np.pi - 0.3)
-        ph = rng.uniform(0.0, 2 * np.pi)
-        f = section(th, ph)
-        rot = rotated(th, ph)
-        d_rot = partials(rotated, th, ph)
-        d_sec = partials(section, th, ph)
-        frame = schrodinger_rotation(th, ph)
-        for i in (1, 2, 3):
-            conj = frame @ (orbital(i, *d_rot, th, ph) + spins[i] @ rot)
-            expect = orbital(i, *d_sec, th, ph)
-            if i == 1:
-                expect = expect + (np.cos(ph) / np.sin(th)) * (spins[3] @ f)
-            elif i == 2:
-                expect = expect + (np.sin(ph) / np.sin(th)) * (spins[3] @ f)
-            worst = max(worst, float(np.abs(conj - expect).max()))
+    for i in (1, 2, 3):
+        conj = apply(frame, orbital(i, *d_rot) + apply(spins[i - 1], rot))
+        expect = orbital(i, *d_sec)
+        if i == 1:
+            expect = expect + (np.cos(col_ph) / np.sin(col_th)) * s3f
+        elif i == 2:
+            expect = expect + (np.sin(col_ph) / np.sin(col_th)) * s3f
+        worst = max(worst, float(np.abs(conj - expect).max()))
     return worst

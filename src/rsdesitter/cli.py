@@ -190,38 +190,35 @@ def run_verify_algebra(manifest: Manifest) -> None:
 
 
 def run_verify_geometry(manifest: Manifest, n_points: int, seed: int) -> None:
+    """Closed forms against their oracles at ``n_points`` seeded (omega, theta) points.
+
+    Every quantity is evaluated once for all points; the points are drawn
+    pair by pair, omega then theta.
+    """
+    if n_points < 1:
+        raise ValueError(f"--points must be at least 1, got {n_points}")
     rng = np.random.default_rng(seed)
-    worst = {"orthonormal": 0.0, "gamma": 0.0, "ell": 0.0, "divergence": 0.0}
-    for _ in range(n_points):
-        pt = geometry.RadialPoint.from_omega(rng.uniform(0.15, 1.35))
-        theta = rng.uniform(0.3, np.pi - 0.3)
-        e = geometry.tetrad(pt, theta)
-        gram = e @ geometry.metric(pt, theta) @ e.T
-        worst["orthonormal"] = max(
-            worst["orthonormal"], float(np.abs(gram - algebra.METRIC).max())
-        )
-        closed_g, closed_l = geometry.connections(pt, theta)
-        fd_g, fd_l = geometry.connections_fd(pt, theta)
-        worst["gamma"] = max(
-            worst["gamma"], max(float(np.abs(a - b).max()) for a, b in zip(closed_g, fd_g))
-        )
-        worst["ell"] = max(
-            worst["ell"], max(float(np.abs(a - b).max()) for a, b in zip(closed_l, fd_l))
-        )
-        dv = geometry.tetrad_divergences(pt, theta)
-        worst["divergence"] = max(
-            worst["divergence"],
-            float(np.abs(dv - geometry.tetrad_divergences_fd(pt, theta)).max()),
-        )
-    manifest.check("tetrad-orthonormality", worst["orthonormal"], 1e-12)
-    manifest.check("bispinor-connection-oracle", worst["gamma"], 1e-6)
-    manifest.check("vector-connection-oracle", worst["ell"], 1e-6)
-    manifest.check("divergence-oracle", worst["divergence"], 1e-6)
+    omega, theta = np.array(
+        [(rng.uniform(0.15, 1.35), rng.uniform(0.3, np.pi - 0.3)) for _ in range(n_points)]
+    ).T
+    r = np.sin(omega)
+    e = geometry._closed_tetrad_at(r, theta)
+    gram = e @ geometry._metric_at(r, theta) @ np.swapaxes(e, -1, -2)
+    closed_g, closed_l = geometry._connections_at(r, theta)
+    fd_g, fd_l = geometry._connections_fd_at(r, theta, 1e-5)
+    dv = geometry._tetrad_divergences_at(r, theta)
+    dv_fd = geometry._tetrad_divergences_fd_at(r, theta, 1e-5)
+    manifest.check("tetrad-orthonormality", float(np.abs(gram - algebra.METRIC).max()), 1e-12)
+    manifest.check("bispinor-connection-oracle", float(np.abs(closed_g - fd_g).max()), 1e-6)
+    manifest.check("vector-connection-oracle", float(np.abs(closed_l - fd_l).max()), 1e-6)
+    manifest.check("divergence-oracle", float(np.abs(dv - dv_fd).max()), 1e-6)
 
 
 def run_verify_wigner(
     manifest: Manifest, j: Fraction, m: Fraction, grid: int, outdir: str
 ) -> None:
+    if grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {grid}")
     thetas = np.linspace(0.02, np.pi - 0.02, grid)
     rows = wigner.recurrence_residuals(float(j), float(m), thetas)
     lines = ["relation,residual,residual_fd,fd_vs_analytic"]

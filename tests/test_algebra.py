@@ -265,14 +265,15 @@ def test_importing_the_cli_builds_no_table():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code = (
-        "import rsdesitter.cli, rsdesitter.algebra as a; "
-        "print(a.generator_table.cache_info().currsize)"
+        "import rsdesitter.cli, rsdesitter.algebra as a, rsdesitter.geometry as g; "
+        "print(a.generator_table.cache_info().currsize, a._spin_table.cache_info().currsize, "
+        "g._connection_basis.cache_info().currsize)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, check=True, timeout=60,
     )
-    assert out.stdout.strip() == "0"
+    assert out.stdout.split() == ["0", "0", "0"]
 
 
 def _per_pair_lorentz_residual(family):
@@ -387,3 +388,56 @@ def test_verify_algebra_builds_each_table_once(monkeypatch):
         counts.append(len(built) - before)
     # bispinor, vector, tilde and the cyclic table the tilde one is built from
     assert counts == [4 * len(PAIRS), 0]
+
+
+def _stencil_angles(seed, n_points=20, h=1e-6):
+    """The angles at which the momentum check evaluates S^{-1} and S."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_points):
+        th = rng.uniform(0.3, np.pi - 0.3)
+        ph = rng.uniform(0.0, 2 * np.pi)
+        yield from ((th, ph), (th + h, ph), (th - h, ph), (th, ph + h), (th, ph - h))
+
+
+def _kron_rotation(theta, phi):
+    """S(theta, phi) and S^{-1} from the 2x2 and 3x3 rotations through ``np.kron``."""
+    bisp = np.zeros((4, 4), dtype=complex)
+    bisp[:2, :2] = bisp[2:, 2:] = algebra.spinor_rotation(theta, phi)
+    vec = np.zeros((4, 4), dtype=complex)
+    vec[0, 0] = 1.0
+    vec[1:, 1:] = algebra.spatial_rotation(theta, phi)
+    return bisp, vec, np.kron(bisp, vec), np.kron(bisp.conj().T, vec.conj().T)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_broadcast_rotations_equal_the_scalar_ones_at_every_stencil_angle(seed):
+    angles = list(_stencil_angles(seed))
+    th, ph = np.array(angles).T
+    bisp, vec = algebra._schrodinger_blocks(th, ph)
+    s, sinv = algebra._rotation_stack(th, ph), algebra._rotation_stack(th, ph, inverse=True)
+    for k, (t, p) in enumerate(angles):
+        ref_bisp, ref_vec, ref_s, ref_sinv = _kron_rotation(t, p)
+        assert np.array_equal(bisp[k], ref_bisp) and np.array_equal(vec[k], ref_vec)
+        assert np.array_equal(s[k], ref_s) and np.array_equal(sinv[k], ref_sinv)
+        assert np.array_equal(algebra.schrodinger_rotation(t, p), ref_s)
+        assert np.array_equal(algebra.schrodinger_rotation_inverse(t, p), ref_sinv)
+
+
+def test_momentum_residual_sees_exchanged_spin_components(monkeypatch):
+    swapped = algebra._spin_table()[[1, 0, 2]]
+    monkeypatch.setattr(algebra, "_spin_table", lambda: swapped)
+    assert algebra.total_momentum_conjugation_residual() > 1e-3
+
+
+@pytest.mark.parametrize("n_points", [0, -1])
+def test_momentum_residual_without_points_raises(n_points):
+    with pytest.raises(ValueError, match="n_points"):
+        algebra.total_momentum_conjugation_residual(n_points=n_points)
+
+
+def test_spin_table_is_read_only_and_copied():
+    table = algebra._spin_table()
+    assert not table.flags.writeable and table.shape == (3, 16, 16)
+    s1 = algebra.spin_matrix(1)
+    s1[0, 0] = 7.0
+    assert np.array_equal(algebra.spin_matrix(1), table[0])

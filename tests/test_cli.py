@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from rsdesitter import cli, radial, solver
+from rsdesitter import algebra, cli, geometry, radial, solver
 from rsdesitter.ansatz import ModeLabel
 
 
@@ -440,3 +440,28 @@ def test_integrate_launch_index_out_of_range(tmp_path, capsys):
         assert run(base + ["--launch", index]) == cli.USAGE_ERROR, index
         assert "--launch must be an exponent index 0..7" in capsys.readouterr().err, index
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["geometry", "--points", "0"], "--points"), (["geometry", "--points", "-2"], "--points"),
+     (["wigner", "--grid", "0"], "--grid"), (["wigner", "--j", "3/2", "--grid", "-1"], "--grid")],
+)
+def test_verify_sample_counts_below_one_are_usage_errors(tmp_path, capsys, argv, flag):
+    assert run(["verify"] + argv + ["--out", str(tmp_path)]) == cli.USAGE_ERROR
+    assert f"{flag} must be at least 1" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_verify_manifests_match_with_cold_and_warm_caches(tmp_path):
+    for cached in (algebra.generator_table, algebra._spin_table, geometry._connection_basis):
+        cached.cache_clear()
+    manifests = []
+    for _ in range(2):
+        assert run(["verify", "algebra", "--out", str(tmp_path)]) == 0
+        assert run(["verify", "geometry", "--seed", "3", "--out", str(tmp_path)]) == 0
+        manifests.append([(tmp_path / f"verify_{s}.manifest.json").read_bytes()
+                          for s in ("algebra", "geometry")])
+    assert manifests[0] == manifests[1]
+    assert algebra._spin_table.cache_info().misses == 1
+    assert geometry._connection_basis.cache_info().misses == 1

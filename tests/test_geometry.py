@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rsdesitter import algebra, geometry
+from rsdesitter import algebra, cli, geometry
 from rsdesitter.geometry import RadialPoint
 
 
@@ -216,3 +216,103 @@ def test_christoffels_fd_match_the_static_metric():
         exact[3, 1, 3] = exact[3, 3, 1] = 1.0 / r
         exact[3, 2, 3] = exact[3, 3, 2] = ct / st
         assert np.abs(geometry.christoffels_fd(r, theta) - exact).max() <= 1e-8
+
+
+def _per_point_geometry_battery(n_points, seed):
+    """The ``verify geometry`` residuals, one scalar call per quantity and point."""
+    rng = np.random.default_rng(seed)
+    worst = {"orthonormal": 0.0, "gamma": 0.0, "ell": 0.0, "divergence": 0.0}
+    for _ in range(n_points):
+        pt = geometry.RadialPoint.from_omega(rng.uniform(0.15, 1.35))
+        theta = rng.uniform(0.3, np.pi - 0.3)
+        e = geometry.tetrad(pt, theta)
+        gram = e @ geometry.metric(pt, theta) @ e.T
+        worst["orthonormal"] = max(
+            worst["orthonormal"], float(np.abs(gram - algebra.METRIC).max())
+        )
+        closed_g, closed_l = geometry.connections(pt, theta)
+        fd_g, fd_l = geometry.connections_fd(pt, theta)
+        worst["gamma"] = max(
+            worst["gamma"], max(float(np.abs(a - b).max()) for a, b in zip(closed_g, fd_g))
+        )
+        worst["ell"] = max(
+            worst["ell"], max(float(np.abs(a - b).max()) for a, b in zip(closed_l, fd_l))
+        )
+        dv = geometry.tetrad_divergences(pt, theta)
+        worst["divergence"] = max(
+            worst["divergence"],
+            float(np.abs(dv - geometry.tetrad_divergences_fd(pt, theta)).max()),
+        )
+    return worst
+
+
+def _battery_residuals(n_points, seed):
+    manifest = cli.Manifest("verify geometry", {})
+    cli.run_verify_geometry(manifest, n_points, seed)
+    return {c["name"]: c["residual"] for c in manifest.data["checks"]}
+
+
+@pytest.mark.parametrize("n_points", [1, 20])
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_geometry_battery_equals_the_per_point_loop(seed, n_points):
+    loop = _per_point_geometry_battery(n_points, seed)
+    assert _battery_residuals(n_points, seed) == {
+        "tetrad-orthonormality": loop["orthonormal"],
+        "bispinor-connection-oracle": loop["gamma"],
+        "vector-connection-oracle": loop["ell"],
+        "divergence-oracle": loop["divergence"],
+    }
+
+
+def test_broadcast_helpers_equal_the_single_point_calls():
+    rng = np.random.default_rng(4)
+    omega, theta = rng.uniform(0.15, 1.35, 12), rng.uniform(0.3, np.pi - 0.3, 12)
+    r = np.sin(omega)
+    gam, ell = geometry._connections_at(r, theta)
+    fd_gam, fd_ell = geometry._connections_fd_at(r, theta, 1e-5)
+    div = geometry._tetrad_divergences_at(r, theta)
+    div_fd = geometry._tetrad_divergences_fd_at(r, theta, 1e-5)
+    for k in range(12):
+        pt, th = RadialPoint.from_omega(omega[k]), float(theta[k])
+        assert np.array_equal(geometry.metric(pt, th), geometry._metric_at(r, theta)[k])
+        assert np.array_equal(geometry.tetrad(pt, th), geometry._closed_tetrad_at(r, theta)[k])
+        assert np.array_equal(geometry._tetrad_at(pt.r, th), geometry._tetrad_at(r, theta)[k])
+        assert np.array_equal(geometry.christoffels_fd(pt.r, th), geometry.christoffels_fd(r, theta)[k])
+        assert np.array_equal(np.array(geometry.connections(pt, th)), np.stack([gam[k], ell[k]]))
+        assert np.array_equal(np.array(geometry.connections_fd(pt, th)), np.stack([fd_gam[k], fd_ell[k]]))
+        assert np.array_equal(geometry.tetrad_divergences(pt, th), div[k])
+        assert np.array_equal(geometry.tetrad_divergences_fd(pt, th), div_fd[k])
+
+
+@pytest.mark.parametrize("n_points", [0, -3])
+def test_geometry_battery_without_points_raises(n_points):
+    with pytest.raises(ValueError, match="--points"):
+        cli.run_verify_geometry(cli.Manifest("verify geometry", {}), n_points, 0)
+
+
+def test_perturbed_bispinor_generator_fails_the_batched_connection_oracle(monkeypatch):
+    geometry._connection_basis()  # the closed form keeps the true table, and the cache stays clean
+    table = geometry.generator_table
+    bad = table("bispinor").copy()
+    bad[1, 2, 0, 1] += 1e-3
+    monkeypatch.setattr(
+        geometry, "generator_table", lambda fam: bad if fam == "bispinor" else table(fam)
+    )
+    checks = _battery_residuals(20, 0)
+    assert checks["bispinor-connection-oracle"] > 1e-4
+    assert checks["vector-connection-oracle"] < 1e-6
+
+
+def test_array_formulas_keep_the_bits_of_the_scalar_ones():
+    # the scalar formulas raise to a power with pow(); an array ``x ** 2`` is x * x
+    # and an array ``x ** 0.5`` is sqrt(x), each a last bit away for ~0.1 % of x
+    rng = np.random.default_rng(8)
+    r, theta = np.sin(rng.uniform(0.05, 1.5, 4000)), rng.uniform(0.05, np.pi - 0.05, 4000)
+    g, e = geometry._metric_at(r, theta), geometry._tetrad_at(r, theta)
+    closed = geometry._closed_tetrad_at(r, theta)
+    for k in range(r.size):
+        rk, tk = float(r[k]), float(theta[k])
+        p = 1.0 - rk * rk
+        assert g[k, 3, 3] == -(rk * np.sin(tk)) ** 2
+        assert e[k, 0, 0] == p ** -0.5 and e[k, 3, 1] == p ** 0.5
+        assert closed[k, 3, 1] == np.sqrt(p)
