@@ -97,16 +97,6 @@ def bispinor_generator(a: int, b: int) -> np.ndarray:
     return generator_table("bispinor")[a, b].copy()
 
 
-def vector_generator(a: int, b: int) -> np.ndarray:
-    """Lorentz generator j^{ab} acting on the tetrad-vector index.
-
-    Entries are (j^{ab})[k, l] = delta^a_k g^{bl} - delta^b_k g^{al},
-    real and in {0, +1, -1}.
-    """
-    _check_pair(a, b)
-    return generator_table("vector")[a, b].copy()
-
-
 def cyclic_transform() -> np.ndarray:
     """Unitary U mapping the spatial vector components to the cyclic basis.
 

@@ -22,6 +22,12 @@ adjudicators for every coefficient of the radial system.  Where a printed
 transcription of a reduction disagrees with the direct matrix action, the
 corrected form is implemented here and the discrepancy is recorded in
 :data:`ADJUDICATIONS`.
+
+The constant 8x8 operators on the upper (xi) block are built once per
+process, on first use, as one read-only table.  The constraint checks read
+the four spherical bispinors Psi_l off an assembled field in one
+contraction of its (bispinor row, cyclic index) reshape with U^{-1}, and
+the divergence check evaluates all its sample angles at once.
 """
 
 from __future__ import annotations
@@ -45,11 +51,6 @@ SLOT_TWO_SIGMA.flags.writeable = False
 AMPLITUDE_NAMES = tuple(
     f"{grp}{l}" for grp in ("f", "g", "h", "nu") for l in range(4)
 )
-
-# amplitude-level image of the combined inversion matrix: the vector part
-# swaps the spin +-1 slots, the bispinor part swaps the xi and eta blocks
-_PARITY_SLOT = (0, 3, 2, 1)
-
 
 @dataclass(frozen=True)
 class ModeLabel:
@@ -176,35 +177,6 @@ def _assemble_terms(mode, amps_and_sigmas, theta, phi) -> np.ndarray:
     return out
 
 
-def parity_image(mode: ModeLabel, state: np.ndarray) -> np.ndarray:
-    """Amplitude-level action of the inversion operator (eigenvalue +-1).
-
-    Image amplitudes: f <- nu, g <- h, h <- g, nu <- f, with the vector
-    slots permuted by (0, 3, 2, 1).  States built from the inversion
-    restrictions are eigenvectors with eigenvalue delta.
-    """
-    state = validate_state(mode, state)
-    out = np.empty(16, dtype=complex)
-    for l in range(4):
-        lp = _PARITY_SLOT[l]
-        out[0 + l] = state[12 + lp]
-        out[4 + l] = state[8 + lp]
-        out[8 + l] = state[4 + lp]
-        out[12 + l] = state[0 + lp]
-    return out
-
-
-def apply_inversion(mode: ModeLabel, state: np.ndarray, theta: float, phi: float) -> np.ndarray:
-    """(Pi x Pi~) Phi evaluated at the inverted point (pi - theta, phi + pi)."""
-    combined = algebra.parity_operators()[2]
-    return combined @ assemble(mode, state, np.pi - theta, phi + np.pi)
-
-
-def inversion_phase(mode: ModeLabel) -> complex:
-    """Phase relating the inverted field to the parity image, -exp(i pi j)."""
-    return -np.exp(1j * np.pi * mode.j)
-
-
 # ---------------------------------------------------------------------------
 # operator verifications on the upper (xi) 8-block
 # ---------------------------------------------------------------------------
@@ -213,11 +185,24 @@ def _xi_block(field: np.ndarray) -> np.ndarray:
     return field[:8]
 
 
-def _t_matrices() -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _xi_operators() -> np.ndarray:
+    """Read-only (6, 8, 8) stack of the constant xi-block operators, built on first use.
+
+    In order: sigma_1 x T~2, -sigma_2 x T~1, 1 x T~03, sigma_1 x 1,
+    sigma_2 x 1 and sigma_3 x 1.
+    """
     t1, t2, _ = algebra.tilde_spin_matrices()
-    m25 = np.kron(algebra.pauli(1), t2)
-    m26 = -np.kron(algebra.pauli(2), t1)
-    return m25, m26
+    s1, s2, s3 = (algebra.pauli(k) for k in (1, 2, 3))
+    eye2, eye4 = np.eye(2), np.eye(4)
+    table = np.stack(
+        [
+            np.kron(s1, t2), -np.kron(s2, t1), np.kron(eye2, algebra.tilde_generator(0, 3)),
+            np.kron(s1, eye4), np.kron(s2, eye4), np.kron(s3, eye4),
+        ]
+    )
+    table.flags.writeable = False
+    return table
 
 
 def verify_T_action(mode: ModeLabel, state: np.ndarray, theta: float, phi: float) -> dict:
@@ -230,7 +215,7 @@ def verify_T_action(mode: ModeLabel, state: np.ndarray, theta: float, phi: float
     f = state[0:4]
     g = state[4:8]
     xi = _xi_block(assemble(mode, state, theta, phi))
-    m25, m26 = _t_matrices()
+    m25, m26 = _xi_operators()[:2]
 
     c = 1j / np.sqrt(2.0)
     # sigma_1 x T~2: the +-1-helicity slots feed the spin-0 slot and back
@@ -291,7 +276,7 @@ def verify_j03_action(
     else:
         pt = RadialPoint.from_omega(omega)
         pref = 1j * pt.phi_prime / (2.0 * pt.phi_metric)
-    mat = pref * np.kron(np.eye(2), algebra.tilde_generator(0, 3))
+    mat = pref * _xi_operators()[2]
     xi = _xi_block(assemble(mode, state, theta, phi))
     expected = _assemble_terms(
         mode,
@@ -312,8 +297,7 @@ def _angular_action_block(mode, state, theta, phi) -> np.ndarray:
     the derivatives taken analytically on the slot functions.
     """
     _, dtheta, mixed = slot_table(mode, theta, phi)
-    s1 = np.kron(algebra.pauli(1), np.eye(4))
-    s2 = np.kron(algebra.pauli(2), np.eye(4))
+    s1, s2 = _xi_operators()[3:5]
     return 1j * (s1 @ (state[:8] * dtheta[:8])) + s2 @ (state[:8] * mixed[:8])
 
 
@@ -354,7 +338,7 @@ def verify_radial_derivative(
     df = state_deriv[0:4]
     dg = state_deriv[4:8]
     field = _xi_block(assemble(mode, state_deriv, theta, phi))
-    direct = 1j * (np.kron(algebra.pauli(3), np.eye(4)) @ field)
+    direct = 1j * (_xi_operators()[5] @ field)
     expected = _assemble_terms(
         mode,
         [(l, 1j * df[l], SLOT_TWO_SIGMA[l]) for l in range(4)]
@@ -368,6 +352,18 @@ def verify_radial_derivative(
 # ---------------------------------------------------------------------------
 # constraints
 # ---------------------------------------------------------------------------
+
+def _spherical_bispinors(fields: np.ndarray) -> np.ndarray:
+    """Spherical bispinors Psi_l of assembled fields (..., 16), indexed [..., l, row].
+
+    Slot 4*s + k holds row s of the cyclic bispinor psi_k, so a field
+    reshapes to [s, k] and Psi_l = sum_k U^{-1}[l, k] psi_k is one
+    contraction.  einsum sums over k in order, as the explicit sum does; a
+    matmul would round differently.
+    """
+    cyclic = fields.reshape(fields.shape[:-1] + (4, 4))
+    return np.einsum("lk,...sk->...ls", algebra.cyclic_transform_inverse(), cyclic)
+
 
 @dataclass(frozen=True)
 class TraceCheck:
@@ -402,13 +398,8 @@ def verify_trace_constraint(
     xi-side pair up to the overall sign delta.
     """
     state = validate_state(mode, state)
-    field = assemble(mode, state, theta, phi)
-    uinv = algebra.cyclic_transform_inverse()
-    psi = [field[np.array([0, 4, 8, 12]) + k] for k in range(4)]  # cyclic bispinors
-    total = np.zeros(4, dtype=complex)
-    for l in range(4):
-        bisp = sum(uinv[l, k] * psi[k] for k in range(4))
-        total += algebra.gamma_matrix(l) @ bisp
+    bisp = _spherical_bispinors(assemble(mode, state, theta, phi))
+    total = sum(algebra.gamma_matrix(l) @ bisp[l] for l in range(4))
 
     rel = trace_relations(state)
     expected = _assemble_terms(
@@ -501,11 +492,7 @@ def verify_divergence_constraint(
     if thetas.shape != phis.shape:
         raise ValueError("theta and phi sample arrays must have equal length")
 
-    pt = RadialPoint.from_omega(omega)
-    values = np.stack(
-        [_divergence_value(mode, state, dstate, pt, th, ph) for th, ph in zip(thetas, phis)],
-        axis=1,
-    )
+    values = _divergence_values(mode, state, dstate, RadialPoint.from_omega(omega), thetas, phis)
 
     # component sigma pattern of the collapsed constraint
     coeffs = values / slot_functions(mode, (-1, 1, -1, 1), thetas, phis)[0]
@@ -524,15 +511,15 @@ def verify_divergence_constraint(
     )
 
 
-def _divergence_value(
+def _divergence_values(
     mode: ModeLabel,
     state: np.ndarray,
     dstate: np.ndarray,
     pt: RadialPoint,
-    theta: float,
-    phi: float,
+    thetas: np.ndarray,
+    phis: np.ndarray,
 ) -> np.ndarray:
-    """One angular sample of the divergence constraint (4-component bispinor).
+    """The divergence constraint (a 4-component bispinor) at every sample angle, shape (4, n).
 
     Sums the coordinate-derivative, tetrad-divergence and spinor-connection
     terms of (nabla + Gamma) e Psi with the separation prefactor divided
@@ -540,36 +527,36 @@ def _divergence_value(
     -1/r - phi'/(4 phi).
     """
     r, sq, p = pt.r, pt.sqrt_phi, pt.phi_metric
-    uinv = algebra.cyclic_transform_inverse()
-
-    def cyclic_bispinors(field: np.ndarray) -> list[np.ndarray]:
-        return [field[np.array([0, 4, 8, 12]) + k] for k in range(4)]
-
-    values, dtheta = slot_functions(mode, SLOT_TWO_SIGMA, theta, phi)
-    psi = cyclic_bispinors(state * values)
-    dpsi_w = cyclic_bispinors(dstate * values)
-    dpsi_th = cyclic_bispinors(state * dtheta)
-
-    def spherical(psis: list[np.ndarray], l: int) -> np.ndarray:
-        return sum(uinv[l, k] * psis[k] for k in range(4))
+    # one slot_functions call per angle: a call over all angles is one gemm,
+    # which rounds differently
+    values, dtheta = np.stack(
+        [slot_functions(mode, SLOT_TWO_SIGMA, th, ph) for th, ph in zip(thetas, phis)], axis=1
+    )
+    # [n, l, row]: Psi_l of the field, of its radial and of its theta derivative
+    psi, dpsi_w, dpsi_th = _spherical_bispinors(
+        np.stack([state * values, dstate * values, state * dtheta])
+    )
+    rs = (r * np.sin(thetas))[:, None]
 
     # coordinate-derivative terms; e^{(l)alpha} carries frame signs (+,-,-,-)
-    total = (-1j * mode.eps / sq) * spherical(psi, 0)
+    total = (-1j * mode.eps / sq) * psi[:, 0]
     prefactor_slope = -1.0 / r - pt.phi_prime / (4.0 * p)
-    total += -sq * (spherical(dpsi_w, 3) / sq + prefactor_slope * spherical(psi, 3))
-    total += -(1.0 / r) * spherical(dpsi_th, 1)
-    total += -(1j * mode.m_j / (r * np.sin(theta))) * spherical(psi, 2)
+    total += -sq * (dpsi_w[:, 3] / sq + prefactor_slope * psi[:, 3])
+    total += -(1.0 / r) * dpsi_th[:, 1]
+    # the real quotient first: a complex one rounds m_j / (r sin theta) twice
+    total += -1j * (mode.m_j / rs) * psi[:, 2]
 
     # tetrad-divergence terms
-    div = tetrad_divergences(pt, theta)
-    total += div[1] * spherical(psi, 1) + div[3] * spherical(psi, 3)
+    div = np.array([tetrad_divergences(pt, th) for th in thetas])
+    total += div[:, 1:2] * psi[:, 1] + div[:, 3:4] * psi[:, 3]
 
-    # spinor-connection terms e^{(l)alpha} Gamma_alpha Psi_l
-    gam = connections(pt, theta)[0]
-    total += (1.0 / sq) * (gam[0] @ spherical(psi, 0))
-    total += -(1.0 / r) * (gam[2] @ spherical(psi, 1))
-    total += -(1.0 / (r * np.sin(theta))) * (gam[3] @ spherical(psi, 2))
-    return total
+    # spinor-connection terms e^{(l)alpha} Gamma_alpha Psi_l for alpha = t, theta, phi
+    gam = np.array([connections(pt, th)[0] for th in thetas])
+    conn = (gam[:, [0, 2, 3]] @ psi[:, :3, :, None])[..., 0]
+    total += (1.0 / sq) * conn[:, 0]
+    total += -(1.0 / r) * conn[:, 1]
+    total += -(1.0 / rs) * conn[:, 2]
+    return total.T
 
 
 # ---------------------------------------------------------------------------

@@ -53,18 +53,6 @@ class RadialPoint:
         r = float(np.sin(omega))
         return cls(r=r, omega=float(omega), phi_metric=1.0 - r * r, phi_prime=-2.0 * r)
 
-    @classmethod
-    def from_radius(cls, r: float) -> "RadialPoint":
-        r = float(r)
-        if not 0.0 < r < 1.0:
-            raise ValueError(f"radius must lie in (0, 1), got {r}")
-        return cls(
-            r=r,
-            omega=float(np.arcsin(r)),
-            phi_metric=1.0 - r * r,
-            phi_prime=-2.0 * r,
-        )
-
     @property
     def sqrt_phi(self) -> float:
         return float(np.sqrt(self.phi_metric))

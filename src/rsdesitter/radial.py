@@ -491,15 +491,31 @@ def expected_lambda_first_rows(mode: ModeLabel, omega: float) -> np.ndarray:
 _LEAKAGE_TOL = 1e-9
 
 
-def _gamma3_amplitude_map() -> np.ndarray:
-    """Amplitude-level action of gamma^3 on assembled states."""
-    g3 = np.zeros((16, 16))
-    for l in range(4):
-        g3[_F + l, _H + l] = -1.0
-        g3[_G + l, _N + l] = 1.0
-        g3[_H + l, _F + l] = 1.0
-        g3[_N + l, _G + l] = -1.0
-    return g3
+@functools.cache
+def _angular_operators() -> np.ndarray:
+    """Read-only (6, 16, 16) stack of the constant operators of the angular route.
+
+    Built on first use, in order: gamma^0 x 1, gamma^1 x T~2 - gamma^2 x T~1,
+    gamma^0 x T~03, gamma^1 x 1, gamma^2 x 1 and -i gamma^3 x 1.  The last
+    solves for the derivative couplings: gamma^3 pairs the f with the h
+    slots and the g with the nu slots, which carry the same angular
+    functions, so it acts on amplitudes as it does on assembled states.
+    """
+    t1, t2, _ = algebra.tilde_spin_matrices()
+    g0, g1, g2, g3 = (algebra.gamma_matrix(a) for a in range(4))
+    eye4 = np.eye(4)
+    table = np.stack(
+        [
+            np.kron(g0, eye4),
+            np.kron(g1, t2) - np.kron(g2, t1),
+            np.kron(g0, algebra.tilde_generator(0, 3)),
+            np.kron(g1, eye4),
+            np.kron(g2, eye4),
+            -1j * np.kron(g3, eye4),
+        ]
+    )
+    table.flags.writeable = False
+    return table
 
 
 def assemble_from_angular(mode: ModeLabel, omega: float) -> np.ndarray:
@@ -518,21 +534,14 @@ def assemble_from_angular(mode: ModeLabel, omega: float) -> np.ndarray:
     pt = RadialPoint.from_omega(omega)
     r, sq, p = pt.r, pt.sqrt_phi, pt.phi_metric
     thetas, phis = ansatz.projection_angles()
-
-    t1, t2, _ = algebra.tilde_spin_matrices()
-    g0 = algebra.gamma_matrix(0)
-    g1 = algebra.gamma_matrix(1)
-    g2 = algebra.gamma_matrix(2)
-    eye4 = np.eye(4)
+    energy, ladder, boost, s1, s2, gamma3 = _angular_operators()
 
     m_alg = (
-        (mode.eps / sq) * np.kron(g0, eye4)
-        + (sq / r) * (np.kron(g1, t2) - np.kron(g2, t1))
-        + 1j * sq * (pt.phi_prime / (2.0 * p)) * np.kron(g0, algebra.tilde_generator(0, 3))
+        (mode.eps / sq) * energy
+        + (sq / r) * ladder
+        + 1j * sq * (pt.phi_prime / (2.0 * p)) * boost
         - mode.mass * np.eye(16)
     )
-    s1 = np.kron(g1, eye4)
-    s2 = np.kron(g2, eye4)
 
     # basis state k excites slot k alone, so samples[:, k] is column k of
     # each operator times that slot's angular factor
@@ -543,4 +552,4 @@ def assemble_from_angular(mode: ModeLabel, omega: float) -> np.ndarray:
     b, leak = ansatz.project_to_amplitudes(mode, samples, thetas, phis)
     if leak > _LEAKAGE_TOL:
         raise ArithmeticError(f"angular reduction leaked outside the slot functions: {leak:.3e}")
-    return -1j * _gamma3_amplitude_map() @ b
+    return gamma3 @ b

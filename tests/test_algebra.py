@@ -15,9 +15,19 @@ PAIRS = [(a, b) for a in range(4) for b in range(4) if a != b]
 # generator family -> public constructor copying its table slices
 CONSTRUCTORS = {
     "bispinor": algebra.bispinor_generator,
-    "vector": algebra.vector_generator,
     "cyclic": algebra.tilde_generator,
 }
+
+
+def vector_generator(a, b):
+    """Lorentz generator j^{ab} on the tetrad-vector index, from its defining formula.
+
+    Entries are (j^{ab})[k, l] = delta^a_k g^{bl} - delta^b_k g^{al},
+    real and in {0, +1, -1}.
+    """
+    j = np.zeros((4, 4), dtype=complex)
+    j[a, b], j[b, a] = algebra.METRIC[b, b], -algebra.METRIC[a, a]
+    return j
 
 
 def test_gamma_entries_are_exact_unit_values():
@@ -68,16 +78,17 @@ def test_commutator_structure_constants():
 
 
 def test_vector_generator_entries():
-    j12 = algebra.vector_generator(1, 2)
+    table = algebra.generator_table("vector")
+    j12 = table[1, 2]
     assert j12[1, 2] == -1.0  # delta^1_1 g^{22}
     assert j12[2, 1] == 1.0
     for a in range(4):
         for b in range(4):
             if a == b:
                 continue
-            s = algebra.vector_generator(a, b) + algebra.vector_generator(b, a)
+            s = table[a, b] + table[b, a]
             assert np.abs(s).max() == 0.0
-            entries = algebra.vector_generator(a, b).ravel()
+            entries = table[a, b].ravel()
             assert set(np.round(entries.real, 12)) <= {0.0, 1.0, -1.0}
             assert np.abs(entries.imag).max() == 0.0
 
@@ -194,12 +205,9 @@ def test_spin_matrix_third_component_explicit():
 def test_generator_index_validation(a, b):
     valid = a in range(4) and b in range(4) and a != b
     if valid:
-        algebra.vector_generator(a, b)
         algebra.bispinor_generator(a, b)
         algebra.tilde_generator(a, b)
     else:
-        with pytest.raises(ValueError):
-            algebra.vector_generator(a, b)
         with pytest.raises(ValueError):
             algebra.bispinor_generator(a, b)
         with pytest.raises(ValueError):
@@ -265,15 +273,17 @@ def test_importing_the_cli_builds_no_table():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code = (
-        "import rsdesitter.cli, rsdesitter.algebra as a, rsdesitter.geometry as g; "
+        "import rsdesitter.cli, rsdesitter.algebra as a, rsdesitter.geometry as g, "
+        "rsdesitter.ansatz as z, rsdesitter.radial as r; "
         "print(a.generator_table.cache_info().currsize, a._spin_table.cache_info().currsize, "
-        "g._connection_basis.cache_info().currsize)"
+        "g._connection_basis.cache_info().currsize, z._xi_operators.cache_info().currsize, "
+        "r._angular_operators.cache_info().currsize)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, check=True, timeout=60,
     )
-    assert out.stdout.split() == ["0", "0", "0"]
+    assert out.stdout.split() == ["0"] * 5
 
 
 def _per_pair_lorentz_residual(family):
@@ -286,7 +296,7 @@ def _per_pair_lorentz_residual(family):
         if family == "bispinor":
             return algebra.bispinor_generator(a, b)
         if family == "vector":
-            return algebra.vector_generator(a, b)
+            return vector_generator(a, b)
         return np.kron(algebra.bispinor_generator(a, b), np.eye(4)) + np.kron(
             np.eye(4), algebra.tilde_generator(a, b)
         )

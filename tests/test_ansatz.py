@@ -2,10 +2,44 @@ import numpy as np
 import pytest
 
 from rsdesitter import algebra, ansatz, radial
-from rsdesitter.ansatz import ModeLabel
+from rsdesitter.ansatz import SLOT_TWO_SIGMA, ModeLabel
+from rsdesitter.geometry import RadialPoint, connections, tetrad_divergences
 from rsdesitter.wigner import wigner_D
 
 JS = (0.5, 1.5, 2.5)
+
+# amplitude-level image of the combined inversion matrix: the vector part
+# swaps the spin +-1 slots, the bispinor part swaps the xi and eta blocks
+_PARITY_SLOT = (0, 3, 2, 1)
+
+
+def parity_image(mode, state):
+    """Amplitude-level action of the inversion operator (eigenvalue +-1).
+
+    Image amplitudes: f <- nu, g <- h, h <- g, nu <- f, with the vector
+    slots permuted by (0, 3, 2, 1).  States built from the inversion
+    restrictions are eigenvectors with eigenvalue delta.
+    """
+    state = ansatz.validate_state(mode, state)
+    out = np.empty(16, dtype=complex)
+    for l in range(4):
+        lp = _PARITY_SLOT[l]
+        out[0 + l] = state[12 + lp]
+        out[4 + l] = state[8 + lp]
+        out[8 + l] = state[4 + lp]
+        out[12 + l] = state[0 + lp]
+    return out
+
+
+def apply_inversion(mode, state, theta, phi):
+    """(Pi x Pi~) Phi evaluated at the inverted point (pi - theta, phi + pi)."""
+    combined = algebra.parity_operators()[2]
+    return combined @ ansatz.assemble(mode, state, np.pi - theta, phi + np.pi)
+
+
+def inversion_phase(mode):
+    """Phase relating the inverted field to the parity image, -exp(i pi j)."""
+    return -np.exp(1j * np.pi * mode.j)
 
 
 def _mode(j, **kw):
@@ -73,7 +107,7 @@ def test_ladder_action_single_g2():
     state = np.zeros(16, dtype=complex)
     state[6] = 1.0  # g2
     theta, phi = 0.8, 0.4
-    m25, m26 = ansatz._t_matrices()
+    m25, m26 = ansatz._xi_operators()[:2]
     out = (m25 + m26) @ ansatz.assemble(mode, state, theta, phi)[:8]
     expected = np.zeros(8, dtype=complex)
     expected[3] = 1j * np.sqrt(2.0) * wigner_D(1.5, 0.5, 0.5, theta, phi)
@@ -229,9 +263,9 @@ def test_inversion_field_identity():
         mode = _mode(j)
         state = ansatz.random_state(mode, rng)
         theta, phi = 0.8, 0.3
-        lhs = ansatz.apply_inversion(mode, state, theta, phi)
-        rhs = ansatz.inversion_phase(mode) * ansatz.assemble(
-            mode, ansatz.parity_image(mode, state), theta, phi
+        lhs = apply_inversion(mode, state, theta, phi)
+        rhs = inversion_phase(mode) * ansatz.assemble(
+            mode, parity_image(mode, state), theta, phi
         )
         assert np.abs(lhs - rhs).max() < 1e-14
 
@@ -242,12 +276,12 @@ def test_embedded_states_are_inversion_eigenstates():
         mode = _mode(1.5, delta=delta)
         y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         state = radial.parity_embed(delta) @ y
-        image = ansatz.parity_image(mode, state)
+        image = parity_image(mode, state)
         assert np.abs(image - delta * state).max() < 1e-14
         # and at the field level, with the accompanying phase
         theta, phi = 1.1, 0.9
-        lhs = ansatz.apply_inversion(mode, state, theta, phi)
-        parity = delta * ansatz.inversion_phase(mode)
+        lhs = apply_inversion(mode, state, theta, phi)
+        parity = delta * inversion_phase(mode)
         rhs = parity * ansatz.assemble(mode, state, theta, phi)
         assert np.abs(lhs - rhs).max() < 1e-13
 
@@ -259,7 +293,7 @@ def test_operator_closure_no_leakage():
     for j in JS:
         mode = _mode(j)
         state = ansatz.random_state(mode, rng)
-        m25, m26 = ansatz._t_matrices()
+        m25, m26 = ansatz._xi_operators()[:2]
         samples = np.zeros((16, len(thetas)), dtype=complex)
         for n, (th, ph) in enumerate(zip(thetas, phis)):
             field = ansatz.assemble(mode, state, th, ph)
@@ -288,3 +322,97 @@ def test_batched_projection_matches_single_columns():
         assert np.abs(amps - np.stack([a for a, _ in singles], axis=1)).max() < 1e-13
         assert abs(leak - max(lk for _, lk in singles)) < 1e-13
         assert leak > 1e-4
+
+
+def _trace_by_loop(mode, state, theta, phi):
+    """(field residual, consistency) of the gamma trace, one cyclic bispinor at a time."""
+    field = ansatz.assemble(mode, state, theta, phi)
+    uinv = algebra.cyclic_transform_inverse()
+    psi = [field[np.array([0, 4, 8, 12]) + k] for k in range(4)]  # cyclic bispinors
+    total = np.zeros(4, dtype=complex)
+    for l in range(4):
+        bisp = sum(uinv[l, k] * psi[k] for k in range(4))
+        total += algebra.gamma_matrix(l) @ bisp
+    rel = ansatz.trace_relations(state)
+    expected = ansatz._assemble_terms(
+        mode, [(0, rel[2], -1), (4, rel[3], 1), (8, rel[0], -1), (12, rel[1], 1)], theta, phi
+    )
+    return float(np.abs(total).max()), float(np.abs(total - expected[[0, 4, 8, 12]]).max())
+
+
+def _divergence_value(mode, state, dstate, pt, theta, phi):
+    """The divergence constraint at one angle, each Psi_l rebuilt by an explicit sum."""
+    r, sq, p = pt.r, pt.sqrt_phi, pt.phi_metric
+    uinv = algebra.cyclic_transform_inverse()
+
+    def cyclic_bispinors(field):
+        return [field[np.array([0, 4, 8, 12]) + k] for k in range(4)]
+
+    values, dtheta = ansatz.slot_functions(mode, SLOT_TWO_SIGMA, theta, phi)
+    psi = cyclic_bispinors(state * values)
+    dpsi_w = cyclic_bispinors(dstate * values)
+    dpsi_th = cyclic_bispinors(state * dtheta)
+
+    def spherical(psis, l):
+        return sum(uinv[l, k] * psis[k] for k in range(4))
+
+    total = (-1j * mode.eps / sq) * spherical(psi, 0)
+    prefactor_slope = -1.0 / r - pt.phi_prime / (4.0 * p)
+    total += -sq * (spherical(dpsi_w, 3) / sq + prefactor_slope * spherical(psi, 3))
+    total += -(1.0 / r) * spherical(dpsi_th, 1)
+    total += -(1j * mode.m_j / (r * np.sin(theta))) * spherical(psi, 2)
+    div = tetrad_divergences(pt, theta)
+    total += div[1] * spherical(psi, 1) + div[3] * spherical(psi, 3)
+    gam = connections(pt, theta)[0]
+    total += (1.0 / sq) * (gam[0] @ spherical(psi, 0))
+    total += -(1.0 / r) * (gam[2] @ spherical(psi, 1))
+    total += -(1.0 / (r * np.sin(theta))) * (gam[3] @ spherical(psi, 2))
+    return total
+
+
+def _sample_modes():
+    for j in (0.5, 1.5, 2.5, 3.5):
+        for m_j in dict.fromkeys((0.5, -0.5, j, -j)):
+            yield _mode(j, m_j=m_j)
+
+
+def test_trace_constraint_equals_the_loop_contraction():
+    rng = np.random.default_rng(71)
+    for mode in _sample_modes():
+        for _ in range(10):
+            state = ansatz.random_state(mode, rng)
+            theta, phi = rng.uniform(0.25, np.pi - 0.25), rng.uniform(0.0, 2 * np.pi)
+            chk = ansatz.verify_trace_constraint(mode, state, theta, phi)
+            assert (chk.field_residual, chk.consistency) == _trace_by_loop(mode, state, theta, phi)
+
+
+def test_divergence_values_equal_the_per_angle_sums():
+    rng = np.random.default_rng(72)
+    for mode in _sample_modes():
+        for n in (1, 3, 7):
+            state, dstate = ansatz.random_state(mode, rng), ansatz.random_state(mode, rng)
+            pt = RadialPoint.from_omega(rng.uniform(0.1, 1.45))
+            thetas = rng.uniform(0.05, np.pi - 0.05, n)
+            phis = rng.uniform(0.0, 2 * np.pi, n)
+            batched = ansatz._divergence_values(mode, state, dstate, pt, thetas, phis)
+            loop = [_divergence_value(mode, state, dstate, pt, th, ph)
+                    for th, ph in zip(thetas, phis)]
+            assert batched.shape == (4, n)
+            assert np.array_equal(batched, np.stack(loop, axis=1))
+
+
+def test_xi_operator_table_is_built_once_and_read_only():
+    table = ansatz._xi_operators()
+    assert ansatz._xi_operators() is table
+    assert table.shape == (6, 8, 8) and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 1.0
+    t1, t2, _ = algebra.tilde_spin_matrices()
+    s1, s2, s3 = (algebra.pauli(k) for k in (1, 2, 3))
+    eye4 = np.eye(4)
+    factors = (
+        np.kron(s1, t2), -np.kron(s2, t1), np.kron(np.eye(2), algebra.tilde_generator(0, 3)),
+        np.kron(s1, eye4), np.kron(s2, eye4), np.kron(s3, eye4),
+    )
+    for entry, expected in zip(table, factors):
+        assert entry.tobytes() == expected.tobytes()

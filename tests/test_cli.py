@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from rsdesitter import algebra, cli, geometry, radial, solver
+from rsdesitter import algebra, ansatz, cli, geometry, radial, solver, wigner
 from rsdesitter.ansatz import ModeLabel
 
 
@@ -202,13 +202,15 @@ def test_successive_main_calls_share_one_parser_and_no_values(tmp_path, monkeypa
     seen = []
     for name in ("run_verify", "run_reduce", "run_integrate"):
         monkeypatch.setattr(cli, name, lambda args, outdir: seen.append(vars(args).copy()) or 0)
-    conf = tmp_path / "run.conf"
-    conf.write_text("m = 3/2\ngrid = 7\neps = 1.3\nmass = 0.7\ntol = 1e-9\n")
+    # a config key must be an option of the subcommand, so each gets its own file
+    verify_conf, integrate_conf = tmp_path / "verify.conf", tmp_path / "integrate.conf"
+    verify_conf.write_text("m = 3/2\ngrid = 7\n")
+    integrate_conf.write_text("eps = 1.3\nmass = 0.7\ntol = 1e-9\n")
     out = ["--out", str(tmp_path)]
     calls = [
-        ["verify", "wigner", "--j", "5/2", "--config", str(conf), *out],
+        ["verify", "wigner", "--j", "5/2", "--config", str(verify_conf), *out],
         ["verify", "wigner", "--j", "5/2", *out],
-        ["integrate", "--j", "1/2", "--delta", "+1", "--config", str(conf),
+        ["integrate", "--j", "1/2", "--delta", "+1", "--config", str(integrate_conf),
          "--from", "0.3", "--to", "1.0", *out],
         ["reduce", "--j", "3/2", "--delta", "-1", "--omega", "0.5", *out],
         ["integrate", "--j", "1/2", "--delta", "+1", "--from", "0.3", "--to", "1.0", *out],
@@ -454,14 +456,153 @@ def test_verify_sample_counts_below_one_are_usage_errors(tmp_path, capsys, argv,
 
 
 def test_verify_manifests_match_with_cold_and_warm_caches(tmp_path):
-    for cached in (algebra.generator_table, algebra._spin_table, geometry._connection_basis):
+    for cached in (algebra.generator_table, algebra._spin_table, geometry._connection_basis,
+                   ansatz._xi_operators, ansatz._slot_weights, wigner.d_weights):
         cached.cache_clear()
     manifests = []
     for _ in range(2):
         assert run(["verify", "algebra", "--out", str(tmp_path)]) == 0
         assert run(["verify", "geometry", "--seed", "3", "--out", str(tmp_path)]) == 0
-        manifests.append([(tmp_path / f"verify_{s}.manifest.json").read_bytes()
-                          for s in ("algebra", "geometry")])
+        assert run(["verify", "ansatz", "--j", "5/2", "--seed", "3", "--out", str(tmp_path)]) == 0
+        manifests.append([(tmp_path / name).read_bytes() for name in (
+            "verify_algebra.manifest.json", "verify_geometry.manifest.json",
+            "verify_ansatz.manifest.json", "ansatz_j5_2_residuals.json",
+        )])
     assert manifests[0] == manifests[1]
     assert algebra._spin_table.cache_info().misses == 1
     assert geometry._connection_basis.cache_info().misses == 1
+    assert ansatz._xi_operators.cache_info().misses == 1
+
+
+ANSATZ_CHECKS = [
+    "ladder-t2", "ladder-t1", "ladder-sum", "boost", "angular", "trace",
+    "divergence-collapse", "divergence",
+]
+
+
+@pytest.mark.parametrize("j", ["1/2", "5/2"])
+def test_verify_ansatz_reports_eight_checks_and_their_residual_table(tmp_path, j):
+    assert run(["verify", "ansatz", "--j", j, "--seed", "2", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "verify_ansatz.manifest.json").read_text())
+    assert [c["name"] for c in manifest["checks"]] == ANSATZ_CHECKS
+    assert all(c["pass"] for c in manifest["checks"]) and manifest["status"] == "ok"
+    name = f"ansatz_j{j[0]}_2_residuals.json"
+    (output,) = manifest["outputs"]
+    assert (output["path"], output["kind"]) == (name, "residual-table")
+    raw = (tmp_path / name).read_bytes()
+    assert output["sha256"] == hashlib.sha256(raw).hexdigest()
+    table = json.loads(raw)
+    assert list(table) == sorted(ANSATZ_CHECKS)
+    assert {c["name"]: c["residual"] for c in manifest["checks"]} == table
+
+
+def _ansatz_residuals(tmp_path, argv):
+    out = tmp_path / "_".join(argv).replace("/", "_")
+    assert run(["verify", "ansatz", "--seed", "4", "--out", str(out)] + argv) == 0
+    manifest = json.loads((out / "verify_ansatz.manifest.json").read_text())
+    assert manifest["status"] == "ok"
+    return [c["residual"] for c in manifest["checks"]]
+
+
+@pytest.mark.parametrize(
+    "j, m", [("5/2", "3/2"), ("5/2", "5/2"), ("5/2", "-3/2"), ("3/2", "-3/2"), ("7/2", "5/2")]
+)
+def test_verify_ansatz_runs_at_the_given_projection(tmp_path, j, m):
+    default = _ansatz_residuals(tmp_path, ["--j", j])
+    assert _ansatz_residuals(tmp_path, ["--j", j, "--m=1/2"]) == default
+    given = _ansatz_residuals(tmp_path, ["--j", j, f"--m={m}"])
+    assert given != default
+    assert max(given) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv", [["--j", "2"], ["--j", "x"], ["--j", "-1/2"], ["--j", "5/2", "--m", "7/2"],
+             ["--j", "5/2", "--m", "1"], ["--j", "1/2", "--m", "3/2"], ["--j", "3/2", "--m", "y"]],
+)
+def test_verify_ansatz_bad_labels_are_usage_errors(tmp_path, capsys, argv):
+    assert run(["verify", "ansatz", "--out", str(tmp_path)] + argv) == cli.USAGE_ERROR
+    assert "error:" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_verify_ansatz_and_the_angular_route_call_no_kron_once_warm(tmp_path, monkeypatch):
+    ansatz._xi_operators.cache_clear()
+    radial._angular_operators.cache_clear()
+    calls = []
+    kron = np.kron
+    monkeypatch.setattr(np, "kron", lambda a, b: calls.append(1) or kron(a, b))
+    mode = ModeLabel(j=2.5, m_j=0.5, eps=1.3, mass=0.7)
+
+    def certify_part():
+        assert run(["verify", "ansatz", "--j", "5/2", "--out", str(tmp_path)]) == 0
+        radial.assemble_from_angular(mode, 0.9)
+
+    certify_part()
+    assert calls  # the tables are built on first use
+    calls.clear()
+    certify_part()
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv, conf, key, line",
+    [
+        (["verify", "algebra"], "suite = wigner\n", "suite", 1),
+        (["verify", "algebra"], "# which command\ncommand = reduce\n", "command", 2),
+        (["verify", "ansatz", "--j", "5/2"], "seed = 3\nconfig = other.conf\n", "config", 2),
+        (["integrate", "--j", "1/2", "--delta", "+1", "--from", "0.3", "--to", "1.0"],
+         "tol = 1e-9\ntolerance = 1e-3\n", "tolerance", 2),
+        (["reduce", "--j", "1/2", "--delta", "+1", "--omega", "0.5"], "grid = 7\n", "grid", 1),
+    ],
+    ids=["suite", "command", "config", "misspelt", "other-subcommand"],
+)
+def test_config_key_that_is_no_option_is_a_usage_error(tmp_path, capsys, argv, conf, key, line):
+    path = tmp_path / "c.conf"
+    path.write_text(conf)
+    out = tmp_path / "out"
+    assert run(argv + ["--config", str(path), "--out", str(out)]) == cli.USAGE_ERROR
+    err = capsys.readouterr().err
+    assert f"{path}:{line}:" in err and repr(key) in err
+    assert not out.exists()
+
+
+def test_config_file_can_supply_the_reduce_omega(tmp_path, capsys):
+    path = tmp_path / "c.conf"
+    path.write_text("omega = 0.7\n")
+    base = ["reduce", "--j", "3/2", "--delta", "+1", "--eps", "1.3"]
+    assert run(base + ["--config", str(path), "--out", str(tmp_path / "a")]) == 0
+    assert run(base + ["--omega", "0.7", "--out", str(tmp_path / "b")]) == 0
+    reduced = [(tmp_path / d / "reduce.json").read_bytes() for d in ("a", "b")]
+    assert reduced[0] == reduced[1]
+    capsys.readouterr()
+    assert run(base + ["--out", str(tmp_path / "c")]) == cli.USAGE_ERROR
+    assert "--omega is required" in capsys.readouterr().err
+    assert not (tmp_path / "c" / "reduce.json").exists()
+
+
+def test_config_value_that_does_not_parse_names_its_line(tmp_path, capsys):
+    path = tmp_path / "c.conf"
+    path.write_text("to = 1.2\nseed = many\n")
+    argv = ["integrate", "--j", "1/2", "--delta", "+1", "--from", "0.3", "--config", str(path)]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == cli.USAGE_ERROR
+    assert f"{path}:2: seed:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_command_line_beats_the_config_file(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_verify", lambda args, outdir: seen.append(vars(args)) or 0)
+    monkeypatch.setattr(cli, "run_integrate", lambda args, outdir: seen.append(vars(args)) or 0)
+    path = tmp_path / "c.conf"
+    path.write_text("from = 0.5\nto = 1.2\nseed = 9\nmass = 0.7\ntol = 1e-9\n")
+    out = ["--config", str(path), "--out", str(tmp_path)]
+    # --fr abbreviates --from; --tol is given at its default value
+    assert cli.main(["integrate", "--j", "1/2", "--delta", "+1", "--fr", "0.3",
+                     "--tol", "1e-10", *out]) == 0
+    path.write_text("m = 3/2\ngrid = 7\nseed = 9\n")
+    assert cli.main(["verify", "wigner", "--j", "5/2", "--seed=2", "--m", "1/2", *out]) == 0
+    integrate, verify = seen
+    assert (integrate["frm"], integrate["to"], integrate["seed"]) == (0.3, 1.2, 9)
+    assert (integrate["mass"], integrate["tol"], integrate["command"]) == (0.7, 1e-10, "integrate")
+    assert (verify["suite"], verify["m"]) == ("wigner", "1/2")
+    assert (verify["grid"], verify["seed"]) == (7, 2)

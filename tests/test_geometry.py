@@ -5,27 +5,32 @@ from rsdesitter import algebra, cli, geometry
 from rsdesitter.geometry import RadialPoint
 
 
+def point_at_radius(r):
+    """The RadialPoint at radius r in (0, 1), with omega = arcsin(r)."""
+    return RadialPoint(r=r, omega=float(np.arcsin(r)), phi_metric=1.0 - r * r, phi_prime=-2.0 * r)
+
+
 def test_radial_point_consistency():
     pt = RadialPoint.from_omega(0.7)
     assert abs(pt.r - np.sin(0.7)) < 1e-15
     assert abs(pt.sqrt_phi - np.cos(0.7)) < 1e-14
     assert pt.phi_prime == -2.0 * pt.r
-    pt2 = RadialPoint.from_radius(0.5)
+    pt2 = point_at_radius(0.5)
     assert abs(pt2.omega - np.arcsin(0.5)) < 1e-15
 
 
 def test_radial_point_rejects_inconsistent_data():
     with pytest.raises(ValueError):
         RadialPoint(r=0.5, omega=0.7, phi_metric=0.75, phi_prime=-1.0)
-    with pytest.raises(ValueError):
-        RadialPoint.from_radius(1.2)
+    with pytest.raises(ValueError, match="radius"):
+        RadialPoint(r=1.2, omega=0.7, phi_metric=-0.44, phi_prime=-2.4)
     with pytest.raises(ValueError):
         RadialPoint.from_omega(0.0)
 
 
 def test_metric_diagonal_and_values():
     # direct evaluation of the closed form is the oracle here
-    pt = RadialPoint.from_radius(np.sin(np.pi / 4))
+    pt = point_at_radius(np.sin(np.pi / 4))
     g = geometry.metric(pt, 1.1)
     assert abs(g[0, 0] - 0.5) < 1e-15
     assert abs(g[1, 1] + 2.0) < 1e-14
@@ -44,7 +49,7 @@ def test_metric_determinant_brute_force():
 
 
 def test_metric_flat_origin_limit():
-    pt = RadialPoint.from_radius(1e-6)
+    pt = point_at_radius(1e-6)
     g = geometry.metric(pt, 0.9)
     assert abs(g[0, 0] - 1.0) < 1e-11
     assert abs(g[1, 1] + 1.0) < 1e-11
@@ -76,13 +81,13 @@ def test_connection_closed_forms():
     gammas, ells = geometry.connections(pt, theta)
     assert np.abs(gammas[1]).max() == 0.0  # radial connection vanishes
     assert np.abs(ells[1]).max() == 0.0
-    expected_l_theta = np.cos(0.8) * algebra.vector_generator(3, 1)
+    expected_l_theta = np.cos(0.8) * algebra.generator_table("vector")[3, 1]
     assert np.abs(ells[2] - expected_l_theta).max() < 1e-15
     # time components combine into (phi'/2)(sigma03 x I + I x j03)
     combined = np.kron(gammas[0], np.eye(4)) + np.kron(np.eye(4), ells[0])
     expected = 0.5 * pt.phi_prime * (
         np.kron(algebra.bispinor_generator(0, 3), np.eye(4))
-        + np.kron(np.eye(4), algebra.vector_generator(0, 3))
+        + np.kron(np.eye(4), algebra.generator_table("vector")[0, 3])
     )
     assert np.abs(combined - expected).max() < 1e-15
 
@@ -170,7 +175,7 @@ def _loop_connections(point, theta, h=1e-5):
                 if a == b:
                     continue
                 gam += 0.5 * coeff[a, b] * algebra.bispinor_generator(a, b)
-                ell += 0.5 * coeff[a, b] * algebra.vector_generator(a, b)
+                ell += 0.5 * coeff[a, b] * algebra.generator_table("vector")[a, b]
         gammas.append(gam)
         ells.append(ell)
     return gammas, ells

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsdesitter import ansatz, radial
+from rsdesitter import algebra, ansatz, radial
 from rsdesitter.ansatz import ModeLabel
+from rsdesitter.geometry import RadialPoint
 
 FORBIDDEN_MIN_J = (1, 7, 9, 15)
 
@@ -542,3 +543,66 @@ def test_angular_route_reads_no_system_stack():
     radial.assemble_from_angular(_mode(j=1.5), 0.7)
     info = radial._system_stack.cache_info()
     assert info.hits == info.misses == 0
+
+
+def _gamma3_amplitude_map():
+    """Amplitude-level action of gamma^3 on assembled states, entry by entry."""
+    g3 = np.zeros((16, 16))
+    for l in range(4):
+        g3[0 + l, 8 + l] = -1.0
+        g3[4 + l, 12 + l] = 1.0
+        g3[8 + l, 0 + l] = 1.0
+        g3[12 + l, 4 + l] = -1.0
+    return g3
+
+
+def test_angular_operator_table_is_built_once_and_read_only():
+    table = radial._angular_operators()
+    assert radial._angular_operators() is table
+    assert table.shape == (6, 16, 16) and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 1.0
+    g0, g1, g2, _ = (algebra.gamma_matrix(a) for a in range(4))
+    t1, t2, _ = algebra.tilde_spin_matrices()
+    eye4 = np.eye(4)
+    expected = (
+        np.kron(g0, eye4), np.kron(g1, t2) - np.kron(g2, t1),
+        np.kron(g0, algebra.tilde_generator(0, 3)), np.kron(g1, eye4), np.kron(g2, eye4),
+        -1j * _gamma3_amplitude_map(),
+    )
+    for entry, value in zip(table, expected):
+        assert np.array_equal(entry, value)
+
+
+def _assemble_from_angular_by_kron(mode, omega):
+    """The angular route with every operator rebuilt by np.kron, as it was per call."""
+    pt = RadialPoint.from_omega(omega)
+    r, sq, p = pt.r, pt.sqrt_phi, pt.phi_metric
+    thetas, phis = ansatz.projection_angles()
+    t1, t2, _ = algebra.tilde_spin_matrices()
+    g0, g1, g2 = (algebra.gamma_matrix(a) for a in range(3))
+    eye4 = np.eye(4)
+    m_alg = (
+        (mode.eps / sq) * np.kron(g0, eye4)
+        + (sq / r) * (np.kron(g1, t2) - np.kron(g2, t1))
+        + 1j * sq * (pt.phi_prime / (2.0 * p)) * np.kron(g0, algebra.tilde_generator(0, 3))
+        - mode.mass * np.eye(16)
+    )
+    s1, s2 = np.kron(g1, eye4), np.kron(g2, eye4)
+    values, dtheta, mixed = ansatz.slot_table(mode, thetas, phis)
+    samples = m_alg[:, :, None] * values + (1.0 / r) * (
+        1j * s1[:, :, None] * dtheta + s2[:, :, None] * mixed
+    )
+    b, _ = ansatz.project_to_amplitudes(mode, samples, thetas, phis)
+    return -1j * _gamma3_amplitude_map() @ b
+
+
+def test_angular_route_equals_the_per_call_kron_route_bitwise():
+    rng = np.random.default_rng(19)
+    for j in (0.5, 1.5, 2.5):
+        for m_j in dict.fromkeys((0.5, -0.5, j)):
+            mode = ModeLabel(j=j, m_j=m_j, eps=complex(rng.uniform(0.5, 2.0), 0.2),
+                             mass=rng.uniform(0.0, 1.5))
+            for omega in (0.4, 0.9, 1.3):
+                fast = radial.assemble_from_angular(mode, omega)
+                assert fast.tobytes() == _assemble_from_angular_by_kron(mode, omega).tobytes()
