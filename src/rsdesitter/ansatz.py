@@ -23,6 +23,10 @@ transcription of a reduction disagrees with the direct matrix action, the
 corrected form is implemented here and the discrepancy is recorded in
 :data:`ADJUDICATIONS`.
 
+The slot functions are the rows of :func:`rsdesitter.wigner.d_rows`, the
+package's one product of Wigner weight rows with the power basis, times
+exp(i m_j phi).
+
 The constant 8x8 operators on the upper (xi) block are built once per
 process, on first use, as one read-only table.  The constraint checks read
 the four spherical bispinors Psi_l off an assembled field in one
@@ -63,11 +67,7 @@ class ModeLabel:
     delta: int | None = None
 
     def __post_init__(self) -> None:
-        two_j, two_m = self.two_j, self.two_m
-        if two_j <= 0 or two_j % 2 == 0:
-            raise ValueError(f"j must be a positive half-odd integer, got {self.j}")
-        if abs(two_m) > two_j or two_m % 2 == 0:
-            raise ValueError(f"m_j = {self.m_j} incompatible with j = {self.j}")
+        wigner._validate_jm(self.two_j, self.two_m, "m_j")
         if self.delta not in (None, 1, -1):
             raise ValueError(f"delta must be +1, -1 or None, got {self.delta}")
         if not np.isfinite(self.eps):
@@ -114,38 +114,18 @@ def random_state(mode: ModeLabel, rng: np.random.Generator) -> np.ndarray:
     return state
 
 
-@functools.lru_cache(maxsize=128)
-def _slot_weights(two_j: int, two_m: int, two_sigmas: tuple[int, ...]) -> np.ndarray:
-    """Value rows, then derivative rows, of d^j_{-m, sigma} over the power basis.
-
-    Shape (2 * len(two_sigmas), 2j+1); a helicity with |sigma| > j gets zero
-    rows.  Cached per labels and read-only.
-    """
-    table = np.zeros((2, len(two_sigmas), two_j + 1))
-    for i, two_sigma in enumerate(two_sigmas):
-        if abs(two_sigma) <= two_j:
-            table[:, i] = wigner.d_weights(two_j, -two_m, two_sigma)
-    table = table.reshape(2 * len(two_sigmas), two_j + 1)
-    table.flags.writeable = False
-    return table
-
-
 def slot_functions(mode: ModeLabel, two_sigmas, theta, phi) -> tuple[np.ndarray, np.ndarray]:
     """exp(i m phi) d^j_{-m, sigma}(theta) and its theta-derivative per helicity.
 
     ``two_sigmas`` lists doubled helicities; theta and phi are scalars or
     arrays of one shape.  Returns (values, dtheta), each of shape
-    (len(two_sigmas),) + that shape.  Both come from one product of the
-    cached stack of :func:`~rsdesitter.wigner.d_weights` rows of the
-    requested helicities with :func:`~rsdesitter.wigner.power_basis`.  A
-    helicity with |sigma| > j has no function at this j and gives zero rows.
+    (len(two_sigmas),) + that shape: the rows of
+    :func:`~rsdesitter.wigner.d_rows` times the phase.  A helicity with
+    |sigma| > j has no function at this j and gives zero rows.
     """
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
     two_sigmas = tuple(np.asarray(two_sigmas, dtype=int).ravel().tolist())
-    weights = _slot_weights(mode.two_j, mode.two_m, two_sigmas)
-    basis = wigner.power_basis(mode.two_j, theta).reshape(mode.two_j + 1, -1)
-    table = (weights @ basis) * np.exp(1j * mode.m_j * phi).ravel()
-    table = table.reshape((2, len(two_sigmas)) + theta.shape)
+    table = wigner.d_rows(mode.two_j, -mode.two_m, two_sigmas, theta) * np.exp(1j * mode.m_j * phi)
     return table[0], table[1]
 
 

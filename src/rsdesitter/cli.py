@@ -66,8 +66,11 @@ def parse_half_integer(text: str, name: str = "value") -> Fraction:
     """Parse 'p/2' or an integer/half-integer literal exactly."""
     try:
         frac = Fraction(text.strip())
+        float(frac)  # every later use takes the float; it must be finite
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{name} must be a half-integer like 3/2, got {text!r}") from exc
+    except OverflowError as exc:
+        raise ValueError(f"{name} = {text!r} is too large for a float") from exc
     if (2 * frac).denominator != 1:
         raise ValueError(f"{name} must be a half-integer like 3/2, got {text!r}")
     return frac

@@ -9,8 +9,9 @@ of that sum, and of its theta-derivative, is a power-basis function
 c^(2j-q) s^q with c = cos(theta/2), s = sin(theta/2), so for fixed labels
 both functions are constant weight rows over one basis.  :func:`d_weights`
 builds the two rows once per label triple, in exact integer arithmetic, and
-caches them read-only; :func:`wigner_d` and :func:`wigner_d_dtheta` each
-make one product of a row with :func:`power_basis`.
+caches them read-only.  :func:`d_rows` is the one product of weights with
+:func:`power_basis`, over a cached stack of the rows of several helicities;
+every value and derivative in the package is read from it.
 
 This sign convention is the one under which the raising/lowering
 recurrences in theta (listed in :func:`recurrence_residuals`) hold with the
@@ -67,10 +68,10 @@ def angular_coefficients(j) -> AngularCoefficients:
     two_j = _doubled(j, "j")
     _validate_jm(two_j, two_j, "j")
     jf = two_j / 2.0
-    a = jf + 0.5
-    b = np.sqrt((jf - 0.5) * (jf + 1.5)) if two_j >= 3 else 0.0
-    c = np.sqrt((jf - 1.5) * (jf + 2.5)) if two_j >= 5 else 0.0
-    return AngularCoefficients(j=jf, a=a, b=float(b), c=float(c))
+    # b and c are the raising coefficients at sigma = 1/2 and 3/2
+    b = ladder_coefficients(jf, 0.5)[1]
+    c = ladder_coefficients(jf, 1.5)[1]
+    return AngularCoefficients(j=jf, a=jf + 0.5, b=b, c=c)
 
 
 def ladder_coefficients(j, sigma) -> tuple[float, float]:
@@ -144,29 +145,59 @@ def power_basis(two_j: int, theta) -> np.ndarray:
     return np.cos(half) ** (two_j - q) * np.sin(half) ** q
 
 
-def _weighted(row: int, j, mp, m, theta):
-    two_j = _doubled(j, "j")
-    weights = d_weights(two_j, _doubled(mp, "mp"), _doubled(m, "m"))[row]
+@functools.lru_cache(maxsize=128)
+def _weight_stack(two_j: int, two_mp: int, two_ms: tuple[int, ...]) -> np.ndarray:
+    """Value rows, then derivative rows, of d^j_{mp, m} for each m in ``two_ms``.
+
+    Shape (2 * len(two_ms), 2j+1); a helicity with |m| > j gets zero rows.
+    Cached per labels and read-only.
+    """
+    table = np.zeros((2, len(two_ms), two_j + 1))
+    for i, two_m in enumerate(two_ms):
+        if abs(two_m) <= two_j:
+            table[:, i] = d_weights(two_j, two_mp, two_m)
+    table = table.reshape(2 * len(two_ms), two_j + 1)
+    table.flags.writeable = False
+    return table
+
+
+def d_rows(two_j: int, two_mp: int, two_ms: tuple[int, ...], theta) -> np.ndarray:
+    """d^j_{mp, m}(theta) and its theta-derivative for every m in ``two_ms``.
+
+    Labels are doubled; a helicity with |m| > j has no function at this j
+    and gives zero rows.  Returns shape (2, len(two_ms)) + shape of theta:
+    values first, then derivatives, from one product of the cached weight
+    stack with :func:`power_basis`.
+    """
     basis = power_basis(two_j, theta)
-    out = (weights @ basis.reshape(two_j + 1, -1)).reshape(basis.shape[1:])
-    return out if out.ndim else float(out)
+    table = _weight_stack(two_j, two_mp, two_ms) @ basis.reshape(two_j + 1, -1)
+    return table.reshape((2, len(two_ms)) + basis.shape[1:])
+
+
+def _label_rows(j, mp, m, theta) -> np.ndarray:
+    """(value, derivative) of d^j_{mp, m}(theta), the labels checked as d_weights does."""
+    two_j, two_mp, two_m = _doubled(j, "j"), _doubled(mp, "mp"), _doubled(m, "m")
+    d_weights(two_j, two_mp, two_m)  # raises on labels it has no rows for
+    return d_rows(two_j, two_mp, (two_m,), theta)[:, 0]
 
 
 def wigner_d(j, mp, m, theta):
-    """Small Wigner function d^j_{mp, m}(theta), one row of :func:`d_weights`.
+    """Small Wigner function d^j_{mp, m}(theta), the value row of :func:`d_rows`.
 
     ``theta`` may be a scalar or an ndarray.  Labels may be any
     (half-)integers with |mp|, |m| <= j and j - mp, j - m integral.
     """
-    return _weighted(0, j, mp, m, theta)
+    out = _label_rows(j, mp, m, theta)[0]
+    return out if out.ndim else float(out)
 
 
 def wigner_d_dtheta(j, mp, m, theta):
-    """Analytic theta-derivative of the small d-function, the other row.
+    """Analytic theta-derivative of the small d-function, the derivative row.
 
     Takes the labels of :func:`wigner_d` and rejects the same invalid ones.
     """
-    return _weighted(1, j, mp, m, theta)
+    out = _label_rows(j, mp, m, theta)[1]
+    return out if out.ndim else float(out)
 
 
 def wigner_D(j, m, sigma, theta, phi):
@@ -190,35 +221,22 @@ def mixed_weight(m, sigma, theta):
     return (-m - sigma * np.cos(theta)) / np.sin(theta)
 
 
-def _theta_relations(j, m):
-    """The eight ladder relations at helicities +-1/2, +-3/2 for given (j, m).
-
-    Each entry is (name, sigma, kind) with kind 'dtheta' for the derivative
-    relation and 'mixed' for ((i d_phi - sigma cos)/sin).  Right-hand sides:
-
-        dtheta:  ( low * D_{sigma-1} - high * D_{sigma+1} ) / 2
-        mixed:   (-low * D_{sigma-1} - high * D_{sigma+1} ) / 2
-
-    with (low, high) from :func:`ladder_coefficients`.
-    """
-    two_j = _doubled(j, "j")
-    rel = []
-    for two_s in (1, -1, 3, -3):
-        if abs(two_s) > two_j:
-            continue
-        sigma = two_s / 2.0
-        rel.append((f"dtheta sigma={sigma:+.1f}", sigma, "dtheta"))
-        rel.append((f"mixed sigma={sigma:+.1f}", sigma, "mixed"))
-    return rel
-
-
 def recurrence_residuals(j, m, thetas, fd_step: float = 1e-6):
     """Residual table for the helicity ladder relations on a theta grid.
 
-    Returns a list of dict rows with the analytic residual, the residual
-    with the theta-derivative replaced by central finite differences, and
-    the worst analytic/finite-difference derivative disagreement.
-    Grid points must be interior to (0, pi).
+    At each helicity sigma = +-1/2, +-3/2 with |sigma| <= j the function
+    D_sigma = exp(i m phi) d^j_{-m, sigma}(theta) obeys
+
+        dtheta:  d_theta D_sigma = ( low D_{sigma-1} - high D_{sigma+1}) / 2
+        mixed:   ((i d_phi - sigma cos)/sin) D_sigma
+                                 = (-low D_{sigma-1} - high D_{sigma+1}) / 2
+
+    with (low, high) from :func:`ladder_coefficients`.  Returns a list of
+    dict rows with the analytic residual, the residual with the
+    theta-derivative replaced by central finite differences, and the worst
+    analytic/finite-difference derivative disagreement.  Every value comes
+    from three :func:`d_rows` calls, at theta and theta +- fd_step.  Grid
+    points must be interior to (0, pi).
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.min() <= 0.0 or thetas.max() >= np.pi:
@@ -226,35 +244,30 @@ def recurrence_residuals(j, m, thetas, fd_step: float = 1e-6):
     two_j = _doubled(j, "j")
     two_m = _doubled(m, "m")
     _validate_jm(two_j, two_m, "m")
-    mf = two_m / 2.0
-
-    def dval(sigma, th):
-        if abs(_doubled(sigma, "sigma")) > two_j:
-            return np.zeros_like(th)
-        return wigner_d(j, -m, sigma, th)
+    # helicities -5/2 .. 5/2: row (two_s + 5) // 2 holds sigma = two_s / 2
+    (d, dtheta), (d_up, _), (d_down, _) = (
+        d_rows(two_j, -two_m, (-5, -3, -1, 1, 3, 5), th)
+        for th in (thetas, thetas + fd_step, thetas - fd_step)
+    )
 
     rows = []
-    for name, sigma, kind in _theta_relations(j, m):
+    for two_s in (1, -1, 3, -3):
+        if abs(two_s) > two_j:
+            continue
+        sigma, i = two_s / 2.0, (two_s + 5) // 2
         low, high = ladder_coefficients(j, sigma)
-        rhs = 0.5 * (
-            (low if kind == "dtheta" else -low) * dval(sigma - 1.0, thetas)
-            - high * dval(sigma + 1.0, thetas)
-        )
-        if kind == "dtheta":
-            lhs = wigner_d_dtheta(j, -m, sigma, thetas)
-            lhs_fd = (
-                wigner_d(j, -m, sigma, thetas + fd_step)
-                - wigner_d(j, -m, sigma, thetas - fd_step)
-            ) / (2.0 * fd_step)
-        else:
-            lhs = mixed_weight(mf, sigma, thetas) * dval(sigma, thetas)
-            lhs_fd = lhs
-        rows.append(
-            {
-                "relation": name,
-                "residual": float(np.abs(lhs - rhs).max()),
-                "residual_fd": float(np.abs(lhs_fd - rhs).max()),
-                "fd_vs_analytic": float(np.abs(lhs - lhs_fd).max()),
-            }
-        )
+        mixed = mixed_weight(two_m / 2.0, sigma, thetas) * d[i]
+        fd = (d_up[i] - d_down[i]) / (2.0 * fd_step)
+        for kind, lhs, lhs_fd, sign in (
+            ("dtheta", dtheta[i], fd, 1.0), ("mixed", mixed, mixed, -1.0)
+        ):
+            rhs = 0.5 * (sign * low * d[i - 1] - high * d[i + 1])
+            rows.append(
+                {
+                    "relation": f"{kind} sigma={sigma:+.1f}",
+                    "residual": float(np.abs(lhs - rhs).max()),
+                    "residual_fd": float(np.abs(lhs_fd - rhs).max()),
+                    "fd_vs_analytic": float(np.abs(lhs - lhs_fd).max()),
+                }
+            )
     return rows

@@ -269,6 +269,23 @@ def test_sweep_with_a_bad_entry_writes_nothing(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["verify", "wigner", "--j", "1e400"], "--j"),
+     (["verify", "wigner", "--j", "1/2", "--m", "1e400"], "--m"),
+     (["verify", "ansatz", "--j", "1e400"], "--j"),
+     (["verify", "ansatz", "--j", "1/2", "--m=-1e400"], "--m"),
+     (["reduce", "--j", "1e400", "--delta", "+1", "--omega", "0.5"], "--j"),
+     (["indices", "--j", "1/2", "--m", "1e400", "--delta", "+1"], "--m"),
+     (["integrate", "--j", "1e400", "--delta", "+1", "--from", "0.3", "--to", "0.5"], "--j"),
+     (["sweep", "--j", "1/2,1e400", "--from", "0.3", "--to", "0.5"], "sweep_002: --j")],
+)
+def test_label_too_large_for_a_float_is_a_usage_error(tmp_path, capsys, argv, flag):
+    assert run(argv + ["--out", str(tmp_path)]) == cli.USAGE_ERROR
+    assert f"error: {flag} = " in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def _refuse_child_process(*args, **kwargs):
     raise AssertionError("the sweep started a child process")
 
@@ -457,7 +474,7 @@ def test_verify_sample_counts_below_one_are_usage_errors(tmp_path, capsys, argv,
 
 def test_verify_manifests_match_with_cold_and_warm_caches(tmp_path):
     for cached in (algebra.generator_table, algebra._spin_table, geometry._connection_basis,
-                   ansatz._xi_operators, ansatz._slot_weights, wigner.d_weights):
+                   ansatz._xi_operators, wigner._weight_stack, wigner.d_weights):
         cached.cache_clear()
     manifests = []
     for _ in range(2):

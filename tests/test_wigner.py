@@ -90,6 +90,52 @@ def test_slot_functions_match_explicit_sum_per_helicity():
             assert one[0].shape == one[1].shape == (len(two_sigmas),)
 
 
+def _stacked_slot_functions(mode, two_sigmas, theta, phi):
+    """Oracle: exp(i m phi) times one product of a locally stacked d_weights table."""
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    table = np.zeros((2, len(two_sigmas), mode.two_j + 1))
+    for i, two_sigma in enumerate(two_sigmas):
+        if abs(two_sigma) <= mode.two_j:
+            table[:, i] = wigner.d_weights(mode.two_j, -mode.two_m, two_sigma)
+    weights = table.reshape(2 * len(two_sigmas), mode.two_j + 1)
+    basis = wigner.power_basis(mode.two_j, theta).reshape(mode.two_j + 1, -1)
+    table = (weights @ basis) * np.exp(1j * mode.m_j * phi).ravel()
+    table = table.reshape((2, len(two_sigmas)) + theta.shape)
+    return table[0], table[1]
+
+
+def test_slot_functions_equal_the_stacked_weight_product():
+    grid = (np.linspace(0.3, 2.8, 5).reshape(5, 1), np.linspace(-0.5, 5.0, 3).reshape(1, 3))
+    angles = [grid, (0.9, 2.1), (np.array([1.2]), np.array([0.4]))]
+    tuples = [tuple(ansatz.SLOT_TWO_SIGMA.tolist()), (-1, 1, -1, 1), (-5, -3, -1, 1, 3, 5, 1)]
+    for two_j in range(1, 8, 2):
+        for two_m in sorted({1, -1, two_j, -two_j}):
+            mode = ansatz.ModeLabel(j=two_j / 2, m_j=two_m / 2)
+            for two_sigmas in tuples:
+                for theta, phi in angles:
+                    got = ansatz.slot_functions(mode, two_sigmas, theta, phi)
+                    want = _stacked_slot_functions(mode, two_sigmas, theta, phi)
+                    for g, w in zip(got, want):
+                        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_d_rows_shape_and_zero_rows_beyond_j():
+    thetas = np.linspace(0.1, 3.0, 12).reshape(4, 3)
+    two_ms = (-5, -3, -1, 1, 3, 5)
+    for two_j in (1, 3, 5, 7):
+        for two_mp in (-two_j, 1, two_j):
+            rows = wigner.d_rows(two_j, two_mp, two_ms, thetas)
+            assert rows.shape == (2, 6, 4, 3)
+            for i, two_m in enumerate(two_ms):
+                if abs(two_m) > two_j:
+                    assert not rows[:, i].any()
+                    continue
+                labels = (two_j / 2, two_mp / 2, two_m / 2, thetas)
+                assert np.abs(rows[0, i] - _explicit_sum(*labels)).max() < 1e-14
+                assert np.abs(rows[1, i] - _explicit_sum(*labels, deriv=True)).max() < 1e-14
+    assert wigner.d_rows(3, 1, (1, -1), 0.4).shape == (2, 2)
+
+
 def _worst_row_normalization(d, max_two_j):
     # rows m > 0 only: d^j_{m, -sigma} = (-1)^(m + sigma) d^j_{-m, sigma} mirrors the rest
     thetas = np.linspace(0.0, np.pi, 41)
@@ -113,18 +159,18 @@ def test_weight_caches_are_bounded_read_only_and_empty_after_import():
     rows = wigner.d_weights(3, 1, -1)
     with pytest.raises(ValueError):
         rows[0, 0] = 1.0
-    stack = ansatz._slot_weights(3, 1, (1, -1, 5))
+    stack = wigner._weight_stack(3, -1, (1, -1, 5))
     with pytest.raises(ValueError):
         stack[0, 0] = 1.0
     assert not stack[[2, 5]].any()  # sigma = 5/2 does not exist at j = 3/2
     assert wigner.d_weights.cache_info().maxsize
-    assert ansatz._slot_weights.cache_info().maxsize
+    assert wigner._weight_stack.cache_info().maxsize
 
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code = (
-        "import rsdesitter.cli, rsdesitter.wigner as w, rsdesitter.ansatz as a; "
-        "print(w.d_weights.cache_info().currsize, a._slot_weights.cache_info().currsize)"
+        "import rsdesitter.cli, rsdesitter.wigner as w; "
+        "print(w.d_weights.cache_info().currsize, w._weight_stack.cache_info().currsize)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
@@ -178,6 +224,53 @@ def test_recurrences_all_j_all_m():
             for row in rows:
                 assert row["residual"] < 1e-9, (j, m, row)
                 assert row["fd_vs_analytic"] < 1e-6, (j, m, row)
+
+
+def _per_label_recurrence_residuals(j, m, thetas, fd_step=1e-6):
+    """Oracle: the ladder residuals with one weight-row product per label."""
+    two_j, two_m = int(round(2 * j)), int(round(2 * m))
+
+    def d(row, sigma, th):
+        two_s = int(round(2 * sigma))
+        if abs(two_s) > two_j:
+            return np.zeros_like(th)
+        return wigner.d_weights(two_j, -two_m, two_s)[row] @ wigner.power_basis(two_j, th)
+
+    rows = []
+    for two_s in (1, -1, 3, -3):
+        if abs(two_s) > two_j:
+            continue
+        sigma = two_s / 2.0
+        low, high = wigner.ladder_coefficients(j, sigma)
+        for kind in ("dtheta", "mixed"):
+            rhs = 0.5 * ((low if kind == "dtheta" else -low) * d(0, sigma - 1.0, thetas)
+                         - high * d(0, sigma + 1.0, thetas))
+            if kind == "dtheta":
+                lhs = d(1, sigma, thetas)
+                lhs_fd = d(0, sigma, thetas + fd_step) - d(0, sigma, thetas - fd_step)
+                lhs_fd = lhs_fd / (2.0 * fd_step)
+            else:
+                lhs = lhs_fd = wigner.mixed_weight(m, sigma, thetas) * d(0, sigma, thetas)
+            rows.append({
+                "relation": f"{kind} sigma={sigma:+.1f}",
+                "residual": float(np.abs(lhs - rhs).max()),
+                "residual_fd": float(np.abs(lhs_fd - rhs).max()),
+                "fd_vs_analytic": float(np.abs(lhs - lhs_fd).max()),
+            })
+    return rows
+
+
+def test_recurrence_residuals_match_the_per_label_oracle():
+    thetas = np.linspace(0.02, np.pi - 0.02, 100)
+    for two_j in range(1, 12, 2):
+        for m in _projections(two_j / 2):
+            got = wigner.recurrence_residuals(two_j / 2, m, thetas)
+            want = _per_label_recurrence_residuals(two_j / 2, m, thetas)
+            assert [r["relation"] for r in got] == [r["relation"] for r in want]
+            for g, w in zip(got, want):
+                assert abs(g["residual"] - w["residual"]) < 1e-14, (two_j, m, g, w)
+                for key in ("residual_fd", "fd_vs_analytic"):
+                    assert abs(g[key] - w[key]) < 1e-9, (two_j, m, key, g, w)
 
 
 def test_minimal_j_has_no_three_half_relations():
