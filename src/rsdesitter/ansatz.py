@@ -161,10 +161,6 @@ def _assemble_terms(mode, amps_and_sigmas, theta, phi) -> np.ndarray:
 # operator verifications on the upper (xi) 8-block
 # ---------------------------------------------------------------------------
 
-def _xi_block(field: np.ndarray) -> np.ndarray:
-    return field[:8]
-
-
 @functools.cache
 def _xi_operators() -> np.ndarray:
     """Read-only (6, 8, 8) stack of the constant xi-block operators, built on first use.
@@ -194,7 +190,7 @@ def verify_T_action(mode: ModeLabel, state: np.ndarray, theta: float, phi: float
     state = validate_state(mode, state)
     f = state[0:4]
     g = state[4:8]
-    xi = _xi_block(assemble(mode, state, theta, phi))
+    xi = assemble(mode, state, theta, phi)[:8]
     m25, m26 = _xi_operators()[:2]
 
     c = 1j / np.sqrt(2.0)
@@ -238,26 +234,23 @@ def verify_T_action(mode: ModeLabel, state: np.ndarray, theta: float, phi: float
 
 
 def verify_j03_action(
-    mode: ModeLabel, state: np.ndarray, theta: float, phi: float, omega: float | None = None
+    mode: ModeLabel, state: np.ndarray, theta: float, phi: float, omega: float
 ) -> float:
     """Residual of the boost-block reduction on the xi block.
 
     The boost generator couples the time and spin-0 slots with -1 entries,
     so the closed form carries minus signs on both components (the variant
     with plus signs fails the direct action and is recorded in
-    :data:`ADJUDICATIONS`).  With ``omega`` given, the physical prefactor
-    i phi'/(2 phi) is included.
+    :data:`ADJUDICATIONS`).  The physical prefactor i phi'/(2 phi) at
+    ``omega`` is included.
     """
     state = validate_state(mode, state)
     f = state[0:4]
     g = state[4:8]
-    if omega is None:
-        pref = 1j
-    else:
-        pt = RadialPoint.from_omega(omega)
-        pref = 1j * pt.phi_prime / (2.0 * pt.phi_metric)
+    pt = RadialPoint.from_omega(omega)
+    pref = 1j * pt.phi_prime / (2.0 * pt.phi_metric)
     mat = pref * _xi_operators()[2]
-    xi = _xi_block(assemble(mode, state, theta, phi))
+    xi = assemble(mode, state, theta, phi)[:8]
     expected = _assemble_terms(
         mode,
         [
@@ -317,7 +310,7 @@ def verify_radial_derivative(
     state_deriv = validate_state(mode, state_deriv)
     df = state_deriv[0:4]
     dg = state_deriv[4:8]
-    field = _xi_block(assemble(mode, state_deriv, theta, phi))
+    field = assemble(mode, state_deriv, theta, phi)[:8]
     direct = 1j * (_xi_operators()[5] @ field)
     expected = _assemble_terms(
         mode,

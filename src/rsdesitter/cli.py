@@ -278,24 +278,33 @@ def run_verify_ansatz(manifest: Manifest, mode: ModeLabel, seed: int, outdir: st
 
 
 def run_verify(args, outdir: str) -> int:
+    """Run one battery and write its manifest, also after a numerical failure.
+
+    A usage error (a ValueError) propagates and writes no manifest.
+    """
     manifest = Manifest(f"verify {args.suite}", vars(args))
-    if args.suite == "algebra":
-        run_verify_algebra(manifest)
-    elif args.suite == "geometry":
-        run_verify_geometry(manifest, args.points, args.seed)
-    else:
-        j = parse_half_integer(args.j, "--j")
-        m = parse_half_integer(args.m, "--m") if args.m else min(j, Fraction(1, 2))
-        if args.suite == "wigner":
-            run_verify_wigner(manifest, j, m, args.grid, outdir)
+    try:
+        if args.suite == "algebra":
+            run_verify_algebra(manifest)
+        elif args.suite == "geometry":
+            run_verify_geometry(manifest, args.points, args.seed)
         else:
-            mode = ModeLabel(j=float(j), m_j=float(m), eps=1.3, mass=0.7)
-            run_verify_ansatz(manifest, mode, args.seed, outdir)
+            j = parse_half_integer(args.j, "--j")
+            m = parse_half_integer(args.m, "--m") if args.m else min(j, Fraction(1, 2))
+            if args.suite == "wigner":
+                run_verify_wigner(manifest, j, m, args.grid, outdir)
+            else:
+                mode = ModeLabel(j=float(j), m_j=float(m), eps=1.3, mass=0.7)
+                run_verify_ansatz(manifest, mode, args.seed, outdir)
+    except ArithmeticError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        manifest.warn(f"numerical failure: {exc}")
+        manifest.data["status"] = "numerical-failure"
     manifest.write(os.path.join(outdir, f"verify_{args.suite}.manifest.json"))
     for chk in manifest.data["checks"]:
         flag = "pass" if chk["pass"] else "FAIL"
         print(f"{flag}  {chk['name']}: {chk['residual']:.3e} < {chk['tolerance']:.0e}")
-    return 0 if manifest.all_passed else NUMERICAL_ERROR
+    return 0 if manifest.data["status"] == "ok" else NUMERICAL_ERROR
 
 
 # ---------------------------------------------------------------------------

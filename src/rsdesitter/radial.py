@@ -13,14 +13,20 @@ closed-form residues.
 
 The constant matrices depend on j (and delta) alone, so they are built
 once per (j, delta, dimension) into a read-only (5, n*n) stack held in a
-bounded cache.  One routine computes the five weights, at one omega or at
-each omega of an array, as a (k, 5) table; the coefficient matrices and
-the divergence constraint rows at those omegas are one (k, 5) @ stack
+bounded cache.  A :class:`RadialSystem` and a :class:`ConstraintSet` look
+their stack up once, when they are made, which is also the one place
+where the dimension and delta are checked; every evaluation reads the
+stack they hold.  One routine computes the five weights, at one omega or
+at each omega of an array, as a (k, 5) table; the coefficient matrices
+and the divergence constraint rows at those omegas are one (k, 5) @ stack
 product, and a single point is the k = 1 case.  A :class:`SystemBatch`
-takes the weights of many modes at once, with one energy and mass per
-member, and multiplies each member's rows with its own stack.  The
-omega-derivative of the constraint rows and the endpoint residues and
-subleading terms are fixed weight vectors on the same stacks.
+holds the stacks of many systems and takes their weights at once, with
+one energy and mass per member.  The omega-derivative of the constraint
+rows and the endpoint residues and subleading terms
+(:meth:`RadialSystem.laurent`) are fixed weight vectors on the same
+stacks.  ``build_A8``, ``build_A16``, ``constraint_matrix``,
+``constraint_matrix_derivative`` and ``singular_residues`` make such an
+object for their mode and read it.
 
 Diagonalizing spatial inversion halves the system: amplitudes (h, nu) are
 tied to (g, f) by the sign delta, and the reduced 8x8 generator equals the
@@ -36,7 +42,7 @@ four-row constraint surface is invariant under the flow, which
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,12 +133,6 @@ def _system_stack(two_j: int, delta: int | None, dimension: int) -> np.ndarray:
     return stack
 
 
-def _reduced_delta(mode: ModeLabel) -> int:
-    if mode.delta not in (1, -1):
-        raise ValueError("reduced system needs delta = +1 or -1 in the mode label")
-    return mode.delta
-
-
 def _scalar_rows(omegas, eps, mass) -> np.ndarray:
     """Complex weights (E, T, 1/sin, 1/tan, m) at each omega, on a last axis of 5.
 
@@ -141,14 +141,9 @@ def _scalar_rows(omegas, eps, mass) -> np.ndarray:
     e.g. one value per member of a batch.  E is divided componentwise, as
     Python divides a complex by a float.
     """
-    if isinstance(omegas, (float, int)):
-        if not 0.0 < omegas < _HALF_PI:
-            raise ValueError(f"omega must lie in (0, pi/2), got {omegas}")
-        omegas = np.array([omegas], dtype=float)
-    else:
-        omegas = np.asarray(omegas, dtype=float)
-        if not (omegas.min() > 0.0 and omegas.max() < _HALF_PI):
-            raise ValueError(f"omega must lie in (0, pi/2), got {omegas}")
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    if not (omegas.min() > 0.0 and omegas.max() < _HALF_PI):
+        raise ValueError(f"omega must lie in (0, pi/2), got {omegas}")
     cos, sin, tan = np.cos(omegas), np.sin(omegas), np.tan(omegas)
     rows = np.zeros(omegas.shape + (5,), dtype=complex)
     parts = rows.view(float)  # real and imaginary part of each weight
@@ -161,22 +156,6 @@ def _scalar_rows(omegas, eps, mass) -> np.ndarray:
     return rows
 
 
-def _mode_stack(mode: ModeLabel, dimension: int) -> np.ndarray:
-    """The cached stack of ``mode`` for the 8- or 16-amplitude system."""
-    if dimension == 8:
-        return _system_stack(mode.two_j, _reduced_delta(mode), 8)
-    if dimension == 16:
-        return _system_stack(mode.two_j, None, 16)
-    raise ValueError("dimension must be 8 or 16")
-
-
-def _system_matrices(mode: ModeLabel, omegas, dimension: int) -> np.ndarray:
-    """A at a scalar or 1-d array of omegas: (k, n, n) from one (k, 5) @ (5, n*n) product."""
-    stack = _mode_stack(mode, dimension)
-    rows = _scalar_rows(omegas, mode.eps, mode.mass)
-    return (rows @ stack).reshape(-1, dimension, dimension)
-
-
 def build_A16(mode: ModeLabel, omega: float) -> np.ndarray:
     """Coefficient matrix of X' = A(omega) X for the full 16-amplitude state.
 
@@ -184,7 +163,7 @@ def build_A16(mode: ModeLabel, omega: float) -> np.ndarray:
     slots on which printed transcriptions of the system disagree carry the
     values fixed by :func:`assemble_from_angular`.
     """
-    return _system_matrices(mode, omega, 16)[0]
+    return RadialSystem(mode, 16).matrices(omega)[0]
 
 
 def parity_embed(delta: int) -> np.ndarray:
@@ -211,30 +190,7 @@ def build_A8(mode: ModeLabel, omega: float) -> np.ndarray:
     Satisfies A16(omega) P_delta = P_delta A8(omega) exactly, and flipping
     delta is the same as flipping the sign of the mass.
     """
-    return _system_matrices(mode, omega, 8)[0]
-
-
-def endpoint_laurent(mode: ModeLabel, endpoint: str, dimension: int = 8):
-    """Closed-form residue and subleading (constant) term of A at an endpoint.
-
-    A(w0 + d u) = residue / (d u) + subleading + O(u), with d = +1 at the
-    origin and -1 at the horizon (Coddington & Levinson, ch. 4).  Both are
-    fixed weights of (E, T, 1/sin, 1/tan, m) on the stack, read off from
-
-        origin:   E = eps + O(u^2),  T = O(u),  1/sin, 1/tan = 1/u + O(u);
-        horizon:  E = eps/u + O(u),  T = 1/u + O(u),  1/sin = 1 + O(u^2),
-                  1/tan = O(u).
-    """
-    eps, m = mode.eps, float(mode.mass)
-    weights = {
-        "origin": ((0.0, 0.0, 1.0, 1.0, 0.0), (eps, 0.0, 0.0, 0.0, m)),
-        "horizon": ((-eps, -1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0, m)),
-    }
-    if endpoint not in weights:
-        raise ValueError(f"endpoint must be 'origin' or 'horizon', got {endpoint!r}")
-    pair = np.array(weights[endpoint], dtype=complex) @ _mode_stack(mode, dimension)
-    residue, constant = pair.reshape(2, dimension, dimension)
-    return residue, constant
+    return RadialSystem(mode, 8).matrices(omega)[0]
 
 
 def singular_residues(mode: ModeLabel, dimension: int = 8):
@@ -244,39 +200,66 @@ def singular_residues(mode: ModeLabel, dimension: int = 8):
     couplings survive; at the horizon the energy and tan terms contribute
     -eps and -1 weights.
     """
-    return tuple(endpoint_laurent(mode, e, dimension)[0] for e in ("origin", "horizon"))
+    system = RadialSystem(mode, dimension)
+    return tuple(system.laurent(e)[0] for e in ("origin", "horizon"))
 
 
 @dataclass(frozen=True)
 class RadialSystem:
-    """Immutable first-order radial system X' = A(omega) X."""
+    """Immutable first-order radial system X' = A(omega) X.
+
+    ``stack`` is the mode's cached read-only (5, n*n) stack, looked up once
+    here; it takes no part in comparison or hashing.
+    """
 
     mode: ModeLabel
     dimension: int = 8
+    stack: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.dimension not in (8, 16):
             raise ValueError("dimension must be 8 or 16")
-        if self.dimension == 8 and self.mode.delta not in (1, -1):
-            raise ValueError("the reduced system needs a delta in the mode label")
+        delta = None if self.dimension == 16 else self.mode.delta
+        if self.dimension == 8 and delta not in (1, -1):
+            raise ValueError("the reduced system needs delta = +1 or -1 in the mode label")
+        object.__setattr__(self, "stack", _system_stack(self.mode.two_j, delta, self.dimension))
 
     def matrix(self, omega: float) -> np.ndarray:
-        return _system_matrices(self.mode, omega, self.dimension)[0]
+        return self.matrices(omega)[0]
 
-    def matrices(self, omegas: np.ndarray) -> np.ndarray:
-        """A at every omega of a 1-d float array: (k, n, n) from one (k, 5) @ (5, n*n) product."""
-        return _system_matrices(self.mode, omegas, self.dimension)
+    def matrices(self, omegas) -> np.ndarray:
+        """A at a scalar or 1-d array of omegas: (k, n, n) from one (k, 5) @ (5, n*n) product."""
+        rows = _scalar_rows(omegas, self.mode.eps, self.mode.mass)
+        return (rows @ self.stack).reshape(-1, self.dimension, self.dimension)
 
     def laurent(self, endpoint: str) -> tuple[np.ndarray, np.ndarray]:
-        """(residue, subleading) of A at ``endpoint``; see :func:`endpoint_laurent`."""
-        return endpoint_laurent(self.mode, endpoint, self.dimension)
+        """Closed-form residue and subleading (constant) term of A at an endpoint.
+
+        A(w0 + d u) = residue / (d u) + subleading + O(u), with d = +1 at the
+        origin and -1 at the horizon (Coddington & Levinson, ch. 4).  Both are
+        fixed weights of (E, T, 1/sin, 1/tan, m) on the stack, read off from
+
+            origin:   E = eps + O(u^2),  T = O(u),  1/sin, 1/tan = 1/u + O(u);
+            horizon:  E = eps/u + O(u),  T = 1/u + O(u),  1/sin = 1 + O(u^2),
+                      1/tan = O(u).
+        """
+        eps, m = self.mode.eps, float(self.mode.mass)
+        weights = {
+            "origin": ((0.0, 0.0, 1.0, 1.0, 0.0), (eps, 0.0, 0.0, 0.0, m)),
+            "horizon": ((-eps, -1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0, m)),
+        }
+        if endpoint not in weights:
+            raise ValueError(f"endpoint must be 'origin' or 'horizon', got {endpoint!r}")
+        pair = np.array(weights[endpoint], dtype=complex) @ self.stack
+        residue, constant = pair.reshape(2, self.dimension, self.dimension)
+        return residue, constant
 
 
 @dataclass(frozen=True, eq=False)
 class SystemBatch:
     """Radial systems of one dimension whose matrices come from one batched product.
 
-    Row b holds the cached stack, eps and mass of member b.  Its matrices
+    Row b holds the stack, eps and mass of member b.  Its matrices
     are the (k, 5) @ (5, n*n) product of :meth:`RadialSystem.matrices`,
     made for every member in one (B, k, 5) @ (B, 5, n*n) matmul.
     """
@@ -293,7 +276,7 @@ class SystemBatch:
             raise ValueError("a batch needs at least one system, all of one dimension")
         (n,) = dims
         return cls(
-            stacks=np.stack([_mode_stack(s.mode, n) for s in systems]),
+            stacks=np.stack([s.stack for s in systems]),
             eps=np.array([[complex(s.mode.eps)] for s in systems]),
             mass=np.array([[float(s.mode.mass)] for s in systems]),
             dimension=n,
@@ -368,14 +351,6 @@ def _constraint_stack(two_j: int, delta: int) -> np.ndarray:
     return stack
 
 
-def _constraint_matrices(mode: ModeLabel, omegas) -> np.ndarray:
-    """C at a scalar or 1-d array of omegas: (k, 4, 8) from one (k, 5) @ (5, 32) product."""
-    stack = _constraint_stack(mode.two_j, _reduced_delta(mode))
-    c = (_scalar_rows(omegas, mode.eps, mode.mass) @ stack).reshape(-1, 4, 8)
-    c += _TRACE_ROWS
-    return c
-
-
 def constraint_matrix(mode: ModeLabel, omega: float) -> np.ndarray:
     """4x8 constraint rows on the reduced state Y = (f0..f3, g0..g3).
 
@@ -383,12 +358,12 @@ def constraint_matrix(mode: ModeLabel, omega: float) -> np.ndarray:
     divergence relations with the radial derivatives eliminated through
     the flow, hence purely algebraic functionals of Y.
     """
-    return _constraint_matrices(mode, omega)[0]
+    return ConstraintSet(mode).matrices(omega)[0]
 
 
 def constraint_matrix_derivative(mode: ModeLabel, omega: float) -> np.ndarray:
     """Exact omega-derivative of :func:`constraint_matrix`."""
-    stack = _constraint_stack(mode.two_j, _reduced_delta(mode))
+    stack = ConstraintSet(mode).stack
     e, t, inv_s, inv_t, _ = _scalar_rows(omega, mode.eps, mode.mass)[0]
     weights = np.array([e * t, 1.0 + t * t, -inv_s * inv_t, -inv_s * inv_s, 0.0])
     return (weights @ stack).reshape(4, 8)
@@ -401,12 +376,29 @@ def constraint_rank(svals: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Constraint rows C(omega) attached to a reduced radial system."""
+    """Constraint rows C(omega) attached to a reduced radial system.
+
+    ``stack`` is the mode's cached read-only (5, 32) stack, looked up once
+    here; it takes no part in comparison or hashing.
+    """
 
     mode: ModeLabel
+    stack: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.mode.delta not in (1, -1):
+            raise ValueError("the constraint rows need delta = +1 or -1 in the mode label")
+        object.__setattr__(self, "stack", _constraint_stack(self.mode.two_j, self.mode.delta))
 
     def matrix(self, omega: float) -> np.ndarray:
-        return constraint_matrix(self.mode, omega)
+        return self.matrices(omega)[0]
+
+    def matrices(self, omegas) -> np.ndarray:
+        """C at a scalar or 1-d array of omegas: (k, 4, 8) from one (k, 5) @ (5, 32) product."""
+        rows = _scalar_rows(omegas, self.mode.eps, self.mode.mass)
+        c = (rows @ self.stack).reshape(-1, 4, 8)
+        c += _TRACE_ROWS
+        return c
 
     def residuals(self, omega: float, state: np.ndarray) -> np.ndarray:
         """Normalized residuals of the four rows at one point: a one-point :meth:`residuals_many`."""
@@ -424,7 +416,7 @@ class ConstraintSet:
         out = np.zeros((len(omegas), 4))
         for lo in range(0, len(omegas), _RESIDUAL_BLOCK):
             w, y = omegas[lo:lo + _RESIDUAL_BLOCK], states[lo:lo + _RESIDUAL_BLOCK]
-            c = _constraint_matrices(self.mode, w)
+            c = self.matrices(w)
             vals = np.abs(np.einsum("kij,kj->ki", c, y))
             row_norms = np.sqrt(
                 np.einsum("kij,kij->ki", c.real, c.real)

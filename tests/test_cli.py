@@ -142,6 +142,25 @@ def test_integrate_failure_writes_only_the_manifest(tmp_path):
     assert stats["rhs_evals"] == 1 + 6 * (stats["accepted_steps"] + stats["rejected_steps"])
 
 
+@pytest.mark.parametrize("suite", ["wigner", "ansatz"])
+def test_verify_numerical_failure_still_writes_the_manifest(tmp_path, capsys, monkeypatch, suite):
+    # the overflow that d_weights raises from j = 601/2 on
+    message = "integer division result too large for a float"
+
+    def overflow(*labels):
+        raise OverflowError(message)
+
+    monkeypatch.setattr(wigner, "d_weights", overflow)
+    code = run(["verify", suite, "--j", "601/2", "--out", str(tmp_path)])
+    assert code == cli.NUMERICAL_ERROR
+    assert f"numerical failure: {message}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == [f"verify_{suite}.manifest.json"]
+    manifest = json.loads((tmp_path / f"verify_{suite}.manifest.json").read_text())
+    assert manifest["status"] == "numerical-failure"
+    assert manifest["outputs"] == []
+    assert manifest["warnings"] == [f"numerical failure: {message}"]
+
+
 def test_manifest_lists_every_output_once(tmp_path):
     sweeps = [
         (["--j", "1/2", "--to", "1.0", "--eps-list", "1.0", "--mass-list", "0.0,0.5"], 0, 4, 4),

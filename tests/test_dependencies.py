@@ -20,3 +20,27 @@ def test_runtime_imports_are_stdlib_or_numpy():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "numpy", (path.name, name)
+
+
+def test_every_private_helper_is_used_in_the_package():
+    # a module-level def _x or class _X that nothing in src/ names is dead code
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    helpers = [
+        (name, node.name)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    ]
+    assert helpers
+    assert [h for h in helpers if h[1] not in used] == []

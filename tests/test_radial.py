@@ -16,7 +16,7 @@ def _mode(j=1.5, eps=1.3, mass=0.7, delta=None):
 
 def build_dA8(mode, omega):
     """Exact omega-derivative of the reduced coefficient matrix."""
-    stack = radial._system_stack(mode.two_j, radial._reduced_delta(mode), 8)
+    stack = radial.RadialSystem(mode, 8).stack
     _, derivatives = _scalar_weights(mode.eps, mode.mass, omega)
     return (np.array(derivatives, dtype=complex) @ stack).reshape(8, 8)
 
@@ -289,6 +289,10 @@ def test_radial_system_domain_errors():
     with pytest.raises(ValueError):
         radial.RadialSystem(mode=_mode(delta=None), dimension=8)
     with pytest.raises(ValueError):
+        radial.ConstraintSet(_mode(delta=None))
+    with pytest.raises(ValueError):
+        radial.constraint_matrix(_mode(delta=None), 0.5)
+    with pytest.raises(ValueError):
         radial.parity_embed(0)
 
 
@@ -342,7 +346,7 @@ def test_stack_products_match_per_table_formula(j, delta, omega, eps, mass):
         assert _rel(horizon, _per_table(tables, (-eps, -1, 0, 0, 0), sign)) <= 1e-15
         constants = {"origin": (eps, 0, 0, 0, mass), "horizon": (0, 0, 1, 0, mass)}
         for endpoint, constant in constants.items():
-            subleading = radial.endpoint_laurent(mode, endpoint, dim)[1]
+            subleading = radial.RadialSystem(mode, dim).laurent(endpoint)[1]
             assert _rel(subleading, _per_table(tables, constant, sign)) <= 1e-15
 
 
@@ -516,11 +520,13 @@ def test_system_batch_matches_each_member():
             )
         ]
         omegas = rng.uniform(1e-3, 1.57, (len(systems), 5))
-        got = radial.SystemBatch.of(systems).matrices(omegas)
+        batch = radial.SystemBatch.of(systems)
+        got = batch.matrices(omegas)
         assert got.shape == (len(systems), 5, dim, dim)
         for b, system in enumerate(systems):
+            assert np.array_equal(batch.stacks[b], system.stack)
             assert np.array_equal(got[b], system.matrices(omegas[b]))
-        taken = radial.SystemBatch.of(systems).take([3, 0])
+        taken = batch.take([3, 0])
         assert np.array_equal(taken.matrices(omegas[[3, 0]]), got[[3, 0]])
     with pytest.raises(ValueError):
         radial.SystemBatch.of([])
@@ -536,6 +542,40 @@ def test_batched_matrices_share_the_stack_cache():
                 mode = _mode(j=j, eps=eps, mass=mass, delta=delta)
                 radial.RadialSystem(mode=mode, dimension=dim).matrices(omegas)
     assert radial._system_stack.cache_info().currsize <= 9
+
+
+def test_systems_hold_their_cached_read_only_stack():
+    for j in (0.5, 1.5, 2.5):
+        for delta in (1, -1):
+            mode = _mode(j=j, eps=1.3 - 0.2j, mass=0.7, delta=delta)
+            for dim, key in ((8, delta), (16, None)):
+                system = radial.RadialSystem(mode, dim)
+                assert system.stack is radial._system_stack(mode.two_j, key, dim)
+                assert not system.stack.flags.writeable
+            cons = radial.ConstraintSet(mode)
+            assert cons.stack is radial._constraint_stack(mode.two_j, delta)
+            assert not cons.stack.flags.writeable
+
+
+def test_systems_of_one_mode_compare_and_hash_equal():
+    for dim in (8, 16):
+        first, second = (radial.RadialSystem(_mode(delta=1), dim) for _ in range(2))
+        assert first == second and hash(first) == hash(second)
+        assert first != radial.RadialSystem(_mode(delta=1, mass=0.6), dim)
+        assert "stack" not in repr(first)
+    first, second = (radial.ConstraintSet(_mode(delta=-1)) for _ in range(2))
+    assert first == second and hash(first) == hash(second)
+    assert first != radial.ConstraintSet(_mode(delta=1))
+
+
+def test_constraint_matrices_match_single_points():
+    cons = radial.ConstraintSet(_mode(j=2.5, eps=0.9 + 0.25j, mass=0.7, delta=-1))
+    omegas = np.array([0.013, 0.4, 0.9, 1.3, 1.557])
+    batch = cons.matrices(omegas)
+    assert batch.shape == (len(omegas), 4, 8)
+    for omega, c in zip(omegas, batch):
+        assert np.array_equal(c, cons.matrix(omega))
+        assert np.array_equal(c, radial.constraint_matrix(cons.mode, omega))
 
 
 def test_angular_route_reads_no_system_stack():
