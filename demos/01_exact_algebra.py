@@ -38,6 +38,14 @@ print("\nspin projection in the cyclic basis (diagonal):", np.diag(t3).real)
 print("ladder matrix T~1 (all entries 0 or 1/sqrt2):")
 print(t1.real)
 
+theta, phi = 0.9, 0.4
+s = algebra.schrodinger_rotation(theta, phi)
+print(f"\nSchrodinger gauge rotation S(theta = {theta}, phi = {phi}), 16x16;")
+print("its (4, 4) blocks are the spinor rotation entries times one vector block,")
+print("the upper-left block being u[0, 0] diag(1, O):")
+print(np.round(s[:4, :4], 3))
+print(f"S S^dagger deviation from identity: {np.abs(s @ s.conj().T - np.eye(16)).max():.1e}")
+
 pb, pv, combined = algebra.parity_operators()
 print("\ninversion on the bispinor index:")
 print(pb.real)

@@ -40,7 +40,8 @@ print(np.round(cons, 3))
 print("\nflow invariance of the constraint surface, C' + C A = Lambda C:")
 for entry in radial.consistency_check(m, [0.3, 0.7, 1.2]):
     print(f"  omega = {entry['omega']:.1f}: residual {entry['residual']:.2e}, "
-          f"rank {entry['constraint_rank']}")
+          f"rank {entry['constraint_rank']}, first two Lambda rows vs closed form "
+          f"{entry['lambda_closed_form_residual']:.1e}")
 print("closed-form mixing of the algebraic rows at omega = 0.7:")
 print(np.round(radial.expected_lambda_first_rows(m, 0.7), 4))
 

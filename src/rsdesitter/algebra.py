@@ -20,15 +20,15 @@ s in (xi_upper, xi_lower, eta_upper, eta_lower) and l the cyclic vector
 index, so a product operator is ``np.kron(bispinor_part, vector_part)``.
 
 The frame rotation S(theta, phi) and its inverse are built for arrays of
-angles at once, as a Kronecker product of (..., 4, 4) block stacks; the
-scalar functions are the one-angle case, and the unitarity and
+angles at once, as a Kronecker product of (..., 4, 4) block stacks;
+:func:`schrodinger_rotation` is the one-angle case, and the unitarity and
 momentum-conjugation checks evaluate all of their sample angles in one pass.
 
 All functions are pure and return fresh arrays, except
 :func:`generator_table`, which hands out one cached read-only table per
-generator family, and the spin projections S_i, which are copied from one
-cached read-only (3, 16, 16) table; both are built on first use, and
-values may be shared freely between threads.
+generator family; it and the read-only (3, 16, 16) table of the spin
+projections S_i are built on first use, and values may be shared freely
+between threads.
 """
 
 from __future__ import annotations
@@ -280,12 +280,6 @@ def schrodinger_rotation(theta: float, phi: float) -> np.ndarray:
     return _rotation_stack(theta, phi)
 
 
-def schrodinger_rotation_inverse(theta: float, phi: float) -> np.ndarray:
-    """Closed-form inverse of S(theta, phi): adjoint spinor block, transposed
-    rotation block."""
-    return _rotation_stack(theta, phi, inverse=True)
-
-
 @functools.cache
 def _spin_table() -> np.ndarray:
     """Read-only (3, 16, 16) stack of S_1, S_2, S_3, built on first use."""
@@ -300,18 +294,6 @@ def _spin_table() -> np.ndarray:
         table[i - 1] = 0.5 * np.kron(sigma_block, eye) + np.kron(eye, tau)
     table.flags.writeable = False
     return table
-
-
-def spin_matrix(i: int) -> np.ndarray:
-    """Cartesian-frame total spin projection S_i (16x16).
-
-    S_i = Sigma_i/2 on the bispinor index plus the spin-1 block tau_i,
-    (tau_i)[j, k] = -i eps_{ijk}, embedded in the spatial vector slots.
-    Returns a copy of a cached read-only table.
-    """
-    if i not in (1, 2, 3):
-        raise ValueError(f"spin index must be 1..3, got {i!r}")
-    return _spin_table()[i - 1].copy()
 
 
 def _levi_civita(i: int, j: int, k: int) -> int:

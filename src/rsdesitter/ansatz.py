@@ -163,18 +163,18 @@ def _assemble_terms(mode, amps_and_sigmas, theta, phi) -> np.ndarray:
 
 @functools.cache
 def _xi_operators() -> np.ndarray:
-    """Read-only (6, 8, 8) stack of the constant xi-block operators, built on first use.
+    """Read-only (5, 8, 8) stack of the constant xi-block operators, built on first use.
 
-    In order: sigma_1 x T~2, -sigma_2 x T~1, 1 x T~03, sigma_1 x 1,
-    sigma_2 x 1 and sigma_3 x 1.
+    In order: sigma_1 x T~2, -sigma_2 x T~1, 1 x T~03, sigma_1 x 1 and
+    sigma_2 x 1.
     """
     t1, t2, _ = algebra.tilde_spin_matrices()
-    s1, s2, s3 = (algebra.pauli(k) for k in (1, 2, 3))
+    s1, s2 = algebra.pauli(1), algebra.pauli(2)
     eye2, eye4 = np.eye(2), np.eye(4)
     table = np.stack(
         [
             np.kron(s1, t2), -np.kron(s2, t1), np.kron(eye2, algebra.tilde_generator(0, 3)),
-            np.kron(s1, eye4), np.kron(s2, eye4), np.kron(s3, eye4),
+            np.kron(s1, eye4), np.kron(s2, eye4),
         ]
     )
     table.flags.writeable = False
@@ -297,25 +297,6 @@ def verify_angular_operator(mode: ModeLabel, state: np.ndarray, theta: float, ph
             (4, -1j * a * f[0], 1), (5, -1j * b * f[1], -1),
             (6, -1j * a * f[2], 1), (7, -1j * b * f[3], 3),
         ],
-        theta,
-        phi,
-    )
-    return float(np.abs(direct - expected[:8]).max())
-
-
-def verify_radial_derivative(
-    mode: ModeLabel, state_deriv: np.ndarray, theta: float, phi: float
-) -> float:
-    """Residual of the radial-derivative slot pattern on the xi block."""
-    state_deriv = validate_state(mode, state_deriv)
-    df = state_deriv[0:4]
-    dg = state_deriv[4:8]
-    field = assemble(mode, state_deriv, theta, phi)[:8]
-    direct = 1j * (_xi_operators()[5] @ field)
-    expected = _assemble_terms(
-        mode,
-        [(l, 1j * df[l], SLOT_TWO_SIGMA[l]) for l in range(4)]
-        + [(4 + l, -1j * dg[l], SLOT_TWO_SIGMA[4 + l]) for l in range(4)],
         theta,
         phi,
     )

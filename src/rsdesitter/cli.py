@@ -289,8 +289,7 @@ def run_verify(args, outdir: str) -> int:
         elif args.suite == "geometry":
             run_verify_geometry(manifest, args.points, args.seed)
         else:
-            j = parse_half_integer(args.j, "--j")
-            m = parse_half_integer(args.m, "--m") if args.m else min(j, Fraction(1, 2))
+            j, m = _label_from_args(args)
             if args.suite == "wigner":
                 run_verify_wigner(manifest, j, m, args.grid, outdir)
             else:
@@ -311,13 +310,19 @@ def run_verify(args, outdir: str) -> int:
 # data-producing commands
 # ---------------------------------------------------------------------------
 
-def _mode_from_args(args) -> ModeLabel:
-    if getattr(args, "j", None) is None:
-        raise ValueError("--j is required (flag or config file)")
+def _label_from_args(args) -> tuple[Fraction, Fraction]:
+    """(j, m_j) from --j and --m; m_j defaults to min(j, 1/2)."""
     j = parse_half_integer(args.j, "--j")
     m_j = parse_half_integer(args.m, "--m") if getattr(args, "m", None) else min(
         j, Fraction(1, 2)
     )
+    return j, m_j
+
+
+def _mode_from_args(args) -> ModeLabel:
+    if getattr(args, "j", None) is None:
+        raise ValueError("--j is required (flag or config file)")
+    j, m_j = _label_from_args(args)
     if getattr(args, "delta", None) is None:
         raise ValueError("--delta is required (flag or config file)")
     if args.delta not in ("+1", "-1", "1"):
@@ -596,17 +601,18 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--grid", type=int, default=100)
     ver.add_argument("--seed", type=int, default=0)
 
-    def mode_flags(p, with_range=False):
+    def mode_flags(p):
         p.add_argument("--j", help="half-integer, e.g. 1/2 (required)")
         p.add_argument("--m", default=None, help="half-integer projection")
         p.add_argument("--delta", default=None, help="+1 or -1")
         p.add_argument("--eps", default="0", help="energy (complex allowed)")
         p.add_argument("--mass", type=float, default=0.0)
-        if with_range:
-            p.add_argument("--from", dest="frm", type=float)
-            p.add_argument("--to", type=float)
-            p.add_argument("--tol", type=float, default=1e-10)
-            p.add_argument("--seed", type=int, default=0)
+
+    def range_flags(p):
+        p.add_argument("--from", dest="frm", type=float)
+        p.add_argument("--to", type=float)
+        p.add_argument("--tol", type=float, default=1e-10)
+        p.add_argument("--seed", type=int, default=0)
 
     red = sub.add_parser("reduce", parents=[common], help="reduced system at one omega")
     mode_flags(red)
@@ -616,7 +622,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mode_flags(ind)
 
     integ = sub.add_parser("integrate", parents=[common], help="integrate the reduced system")
-    mode_flags(integ, with_range=True)
+    mode_flags(integ)
+    range_flags(integ)
     integ.add_argument("--launch", default=None, help="endpoint exponent index")
 
     swp = sub.add_parser(
@@ -627,10 +634,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--delta", default="both", help="+1, -1 or both")
     swp.add_argument("--eps-list", default="1.0")
     swp.add_argument("--mass-list", default="0.0")
-    swp.add_argument("--from", dest="frm", type=float)
-    swp.add_argument("--to", type=float)
-    swp.add_argument("--tol", type=float, default=1e-10)
-    swp.add_argument("--seed", type=int, default=0)
+    range_flags(swp)
     swp.add_argument(
         "--workers", type=int, default=2,
         help="accepted for compatibility and must be at least 1; has no effect "

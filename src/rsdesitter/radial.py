@@ -433,8 +433,9 @@ def consistency_check(mode: ModeLabel, omegas) -> list[dict]:
     At each omega the total derivative C' + C A is compared with its best
     least-squares representation Lambda C; a residual at rounding level
     means the flow cannot leave the surface.  The first two Lambda rows
-    have closed forms which are reported alongside.  Also reports the rank
-    of C, i.e. the codimension of the constraint surface.
+    have closed forms (:func:`expected_lambda_first_rows`); their largest
+    deviation is reported alongside.  Also reports the rank of C, i.e. the
+    codimension of the constraint surface.
     """
     report = []
     for omega in np.atleast_1d(np.asarray(omegas, dtype=float)):
@@ -451,6 +452,9 @@ def consistency_check(mode: ModeLabel, omegas) -> list[dict]:
                 "relative_residual": resid / scale,
                 "constraint_rank": constraint_rank(svals),
                 "lambda": lam,
+                "lambda_closed_form_residual": float(
+                    np.abs(lam[:2] - expected_lambda_first_rows(mode, omega)).max()
+                ),
             }
         )
     return report

@@ -170,7 +170,7 @@ def integrate(
     """Integrate Y' = A(omega) Y from omega_start to omega_end.
 
     The local error per step is controlled to ``tol`` (used as both the
-    absolute and relative weight).  Each attempted step takes the matrices
+    absolute and relative weight), which must be finite and positive.  Each attempted step takes the matrices
     of its stages 1-5 from one :meth:`RadialSystem.matrices` call; stage 6
     sits at w + h like stage 5 and reuses its matrix, and is the first
     stage of the next step (FSAL).  The dense output of the accepted steps
@@ -223,6 +223,8 @@ class _Member:
             raise ValueError(f"state must have shape ({system.dimension},)")
         if not np.all(np.isfinite(y)):
             raise ValueError("initial state must be finite")
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"tol must be finite and positive, got {tol!r}")
         self.direction = 1.0 if omega_end >= omega_start else -1.0
         span = abs(omega_end - omega_start)
         self.h = self.direction * min(1e-2, 0.1 * span)
@@ -291,9 +293,34 @@ class _Member:
         return accepted
 
     def trace(self) -> SolutionTrace:
-        return _finalize(
-            self.constraints, self.omegas, self.states, self.steps, self.errors,
-            self.stages, self.rejected, self.rhs_evals,
+        """Trace of the accepted steps, with every dense-output segment built in one pass.
+
+        Empties the stage list after copying it into one array, so the
+        per-step arrays are freed before the segments are built.
+        """
+        omegas, states, steps = np.array(self.omegas), np.array(self.states), np.array(self.steps)
+        if self.constraints is None:
+            residuals = np.zeros((len(omegas), 4))
+        else:
+            residuals = self.constraints.residuals_many(omegas, states)
+        dense = np.zeros((0, 5, states.shape[1]), dtype=complex)
+        if self.stages:
+            k, h = np.array(self.stages), steps[1:, None]
+            self.stages.clear()
+            ydiff = states[1:] - states[:-1]
+            bspl = h * k[:, 0] - ydiff
+            dense = np.stack(
+                (states[:-1], ydiff, bspl, ydiff - h * k[:, 6] - bspl, h * (_D @ k)), axis=1
+            )
+        return SolutionTrace(
+            omegas=omegas,
+            states=states,
+            residuals=residuals,
+            steps=steps,
+            errors=np.array(self.errors),
+            rejected_steps=self.rejected,
+            rhs_evals=self.rhs_evals,
+            _dense=dense,
         )
 
 
@@ -384,40 +411,6 @@ def integrate_many(
     return results
 
 
-def _finalize(
-    constraints, omegas, states, steps, errors, stages, rejected, rhs_evals
-) -> SolutionTrace:
-    """Trace of the accepted steps, with every dense-output segment built in one pass.
-
-    Empties ``stages`` after copying them into one array, so the per-step
-    arrays are freed before the segments are built.
-    """
-    omegas, states, steps = np.array(omegas), np.array(states), np.array(steps)
-    if constraints is None:
-        residuals = np.zeros((len(omegas), 4))
-    else:
-        residuals = constraints.residuals_many(omegas, states)
-    dense = np.zeros((0, 5, states.shape[1]), dtype=complex)
-    if stages:
-        k, h = np.array(stages), steps[1:, None]
-        stages.clear()
-        ydiff = states[1:] - states[:-1]
-        bspl = h * k[:, 0] - ydiff
-        dense = np.stack(
-            (states[:-1], ydiff, bspl, ydiff - h * k[:, 6] - bspl, h * (_D @ k)), axis=1
-        )
-    return SolutionTrace(
-        omegas=omegas,
-        states=states,
-        residuals=residuals,
-        steps=steps,
-        errors=np.array(errors),
-        rejected_steps=rejected,
-        rhs_evals=rhs_evals,
-        _dense=dense,
-    )
-
-
 # ---------------------------------------------------------------------------
 # singular endpoints
 # ---------------------------------------------------------------------------
@@ -487,8 +480,16 @@ def endpoint_launch(
     The first-order correction solves (R - (lam + 1) I) w = -d A0 v with R
     the residue and A0 the subleading term; if lam + 1 resonates with
     another exponent the correction is taken in the least-squares sense
-    and flagged.
+    and flagged.  ``offset`` must lie inside (0, pi/2) and
+    ``exponent_index`` must name one of the exponents.
     """
+    if not 0 <= exponent_index < len(indicial.exponents):
+        raise ValueError(
+            f"exponent index must be in [0, {len(indicial.exponents)}), got {exponent_index!r}"
+        )
+    u = float(offset)
+    if not 0.0 < u < _HALF_PI:
+        raise ValueError(f"offset must be inside (0, pi/2), got {offset!r}")
     lam = indicial.exponents[exponent_index]
     if indicial.endpoint == "origin" and lam.real < -1e-12:
         raise ValueError(
@@ -503,7 +504,6 @@ def endpoint_launch(
         w = np.linalg.lstsq(shifted, rhs, rcond=None)[0]
     else:
         w = np.linalg.solve(shifted, rhs)
-    u = float(offset)
     state = u**lam * (v + u * w)
     omega = u if indicial.endpoint == "origin" else _HALF_PI - u
     return LaunchState(omega=omega, state=state, exponent=lam, resonant=resonant)

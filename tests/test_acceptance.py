@@ -11,6 +11,7 @@ import pytest
 
 from rsdesitter import algebra, ansatz, geometry, radial, solver, wigner
 from rsdesitter.ansatz import ModeLabel
+from test_ansatz import verify_radial_derivative
 
 
 def _report(name: str, worst: float, tol: float, elapsed: float) -> None:
@@ -99,7 +100,7 @@ def test_criterion_4_ansatz_reductions():
                     *t_res.values(),
                     ansatz.verify_j03_action(mode, state, theta, phi, omega=0.8),
                     ansatz.verify_angular_operator(mode, state, theta, phi),
-                    ansatz.verify_radial_derivative(mode, dstate, theta, phi),
+                    verify_radial_derivative(mode, dstate, theta, phi),
                 )
             trace = ansatz.verify_trace_constraint(mode, state, 0.9, 0.7)
             div = ansatz.verify_divergence_constraint(mode, state, dstate, 0.7, 0.9, 1.1)

@@ -177,7 +177,7 @@ def test_schrodinger_rotation_inverse_closed_form():
     for _ in range(5):
         th, ph = rng.uniform(0.2, np.pi - 0.2), rng.uniform(0, 2 * np.pi)
         s = algebra.schrodinger_rotation(th, ph)
-        sinv = algebra.schrodinger_rotation_inverse(th, ph)
+        sinv = algebra._rotation_stack(th, ph, inverse=True)
         assert np.abs(s @ sinv - np.eye(16)).max() < 1e-13
         assert np.abs(sinv - np.linalg.inv(s)).max() < 1e-12
 
@@ -193,7 +193,7 @@ def test_total_momentum_conjugation():
 
 
 def test_spin_matrix_third_component_explicit():
-    s3 = algebra.spin_matrix(3)
+    s3 = algebra._spin_table()[2]
     sigma_part = 0.5 * np.kron(np.kron(np.eye(2), np.diag([1.0, -1.0])), np.eye(4))
     tau = np.zeros((4, 4), dtype=complex)
     tau[1, 2], tau[2, 1] = -1j, 1j
@@ -339,9 +339,10 @@ def _per_component_momentum_residual(n_points, seed):
         return -1j * dph
 
     def rotated(tt, pp):
-        return algebra.schrodinger_rotation_inverse(tt, pp) @ section(tt, pp)
+        return algebra._rotation_stack(tt, pp, inverse=True) @ section(tt, pp)
 
-    s3 = algebra.spin_matrix(3)
+    spins = algebra._spin_table()
+    s3 = spins[2]
     worst = 0.0
     for _ in range(n_points):
         th = rng.uniform(0.3, np.pi - 0.3)
@@ -349,7 +350,7 @@ def _per_component_momentum_residual(n_points, seed):
         f = section(th, ph)
         for i in (1, 2, 3):
             conj = algebra.schrodinger_rotation(th, ph) @ (
-                orbital(i, rotated, th, ph) + algebra.spin_matrix(i) @ rotated(th, ph)
+                orbital(i, rotated, th, ph) + spins[i - 1] @ rotated(th, ph)
             )
             if i == 1:
                 expect = orbital(1, section, th, ph) + (np.cos(ph) / np.sin(th)) * (s3 @ f)
@@ -430,7 +431,7 @@ def test_broadcast_rotations_equal_the_scalar_ones_at_every_stencil_angle(seed):
         assert np.array_equal(bisp[k], ref_bisp) and np.array_equal(vec[k], ref_vec)
         assert np.array_equal(s[k], ref_s) and np.array_equal(sinv[k], ref_sinv)
         assert np.array_equal(algebra.schrodinger_rotation(t, p), ref_s)
-        assert np.array_equal(algebra.schrodinger_rotation_inverse(t, p), ref_sinv)
+        assert np.array_equal(algebra._rotation_stack(t, p, inverse=True), ref_sinv)
 
 
 def test_momentum_residual_sees_exchanged_spin_components(monkeypatch):
@@ -448,6 +449,6 @@ def test_momentum_residual_without_points_raises(n_points):
 def test_spin_table_is_read_only_and_copied():
     table = algebra._spin_table()
     assert not table.flags.writeable and table.shape == (3, 16, 16)
-    s1 = algebra.spin_matrix(1)
-    s1[0, 0] = 7.0
-    assert np.array_equal(algebra.spin_matrix(1), table[0])
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0, 0] = 7.0
+    assert algebra._spin_table() is table

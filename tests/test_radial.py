@@ -235,6 +235,7 @@ def test_flow_invariance_of_constraint_surface():
             for entry in report:
                 assert entry["residual"] < 1e-10, (j, delta, entry)
                 assert entry["constraint_rank"] == 4
+                assert entry["lambda_closed_form_residual"] < 1e-10, (j, delta, entry)
             lam = report[1]["lambda"][:2]
             expected = radial.expected_lambda_first_rows(mode, 0.7)
             assert np.abs(lam - expected).max() < 1e-10

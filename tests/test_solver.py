@@ -193,6 +193,27 @@ def test_endpoint_launch_rejects_decaying_origin_exponent():
         solver.endpoint_launch(system, data, falling, offset=1e-3)
 
 
+@pytest.mark.parametrize(
+    "endpoint, offset",
+    [("origin", -0.1), ("origin", 0.0), ("origin", np.pi / 2), ("horizon", 0.0),
+     ("horizon", 2.0), ("horizon", np.nan)],
+)
+def test_endpoint_launch_rejects_offsets_outside_the_range(endpoint, offset):
+    system, _ = _system(j=1.5)
+    data = solver.frobenius(system, endpoint)
+    index = data.regular_indices()[0] if endpoint == "origin" else 0
+    with pytest.raises(ValueError, match="offset"):
+        solver.endpoint_launch(system, data, index, offset=offset)
+
+
+@pytest.mark.parametrize("index", [-1, 8, 9])
+def test_endpoint_launch_rejects_indices_outside_the_exponents(index):
+    system, _ = _system(j=1.5)
+    data = solver.frobenius(system, "horizon")
+    with pytest.raises(ValueError, match="exponent index"):
+        solver.endpoint_launch(system, data, index, offset=1e-3)
+
+
 def test_resonant_launch_flagged():
     system, _ = _system()
     data = solver.frobenius(system, "origin")
@@ -224,6 +245,25 @@ def test_integrate_validation():
         solver.integrate(system, None, 0.3, 1.0, np.ones(4, dtype=complex))
     with pytest.raises(ValueError):
         solver.frobenius(system, "middle")
+
+
+@pytest.mark.parametrize("tol", [-1e-8, 0.0, np.nan, np.inf])
+def test_integrate_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    system, _ = _system()
+    with pytest.raises(ValueError, match="tol"):
+        solver.integrate(system, None, 0.3, 1.2, np.ones(8, dtype=complex), tol=tol)
+
+
+@pytest.mark.parametrize("tol", [-1e-8, 0.0, np.nan, np.inf])
+def test_integrate_many_rejects_any_bad_member_tolerance_up_front(tol, monkeypatch):
+    systems = [_system(eps=eps)[0] for eps in (0.5, 1.3, 2.0)]
+    y0s = [np.ones(8, dtype=complex)] * 3
+    # every member is built before the batch, so a bad one fails before any step
+    monkeypatch.setattr(radial.SystemBatch, "of", lambda systems: pytest.fail("stepped"))
+    with pytest.raises(ValueError, match="tol"):
+        solver.integrate_many(systems, None, 0.3, 1.2, y0s, tol=[1e-9, tol, 1e-9])
+    with pytest.raises(ValueError, match="tol"):
+        solver.integrate_many(systems, None, 0.3, 1.2, y0s, tol=tol)
 
 
 def _scan_evaluate(trace, omega):
