@@ -23,15 +23,18 @@ transcription of a reduction disagrees with the direct matrix action, the
 corrected form is implemented here and the discrepancy is recorded in
 :data:`ADJUDICATIONS`.
 
-The slot functions are the rows of :func:`rsdesitter.wigner.d_rows`, the
-package's one product of Wigner weight rows with the power basis, times
-exp(i m_j phi).
+Every angular value is read from one table: :func:`slot_functions` holds
+D_sigma and its theta-derivative for sigma = -5/2 .. 5/2, the rows of one
+:func:`rsdesitter.wigner.d_rows` call (the package's one product of Wigner
+weight rows with the power basis) times exp(i m_j phi).  Each check builds
+that table once per sample angle.  Each closed-form reduction is one module-level tuple of (slot, source amplitude,
+coefficient, 2 sigma) terms, so every choice in :data:`ADJUDICATIONS` is a
+visible entry, and one evaluator reads them all against the table.
 
 The constant 8x8 operators on the upper (xi) block are built once per
 process, on first use, as one read-only table.  The constraint checks read
 the four spherical bispinors Psi_l off an assembled field in one
-contraction of its (bispinor row, cyclic index) reshape with U^{-1}, and
-the divergence check evaluates all its sample angles at once.
+contraction of its (bispinor row, cyclic index) reshape with U^{-1}.
 """
 
 from __future__ import annotations
@@ -51,6 +54,10 @@ SLOT_TWO_SIGMA = np.array(
     [-1, -3, -1, 1, 1, -1, 1, 3, -1, -3, -1, 1, 1, -1, 1, 3], dtype=int
 )
 SLOT_TWO_SIGMA.flags.writeable = False
+
+# a slot-function table holds helicities -5/2 .. 5/2; slot k reads row _SLOT_ROW[k]
+_TABLE_TWO_SIGMA = (-5, -3, -1, 1, 3, 5)
+_SLOT_ROW = (SLOT_TWO_SIGMA + 5) // 2
 
 AMPLITUDE_NAMES = tuple(
     f"{grp}{l}" for grp in ("f", "g", "h", "nu") for l in range(4)
@@ -114,19 +121,19 @@ def random_state(mode: ModeLabel, rng: np.random.Generator) -> np.ndarray:
     return state
 
 
-def slot_functions(mode: ModeLabel, two_sigmas, theta, phi) -> tuple[np.ndarray, np.ndarray]:
-    """exp(i m phi) d^j_{-m, sigma}(theta) and its theta-derivative per helicity.
+def slot_functions(mode: ModeLabel, theta, phi) -> np.ndarray:
+    """exp(i m phi) d^j_{-m, sigma}(theta) and its theta-derivative for sigma = -5/2 .. 5/2.
 
-    ``two_sigmas`` lists doubled helicities; theta and phi are scalars or
-    arrays of one shape.  Returns (values, dtheta), each of shape
-    (len(two_sigmas),) + that shape: the rows of
-    :func:`~rsdesitter.wigner.d_rows` times the phase.  A helicity with
-    |sigma| > j has no function at this j and gives zero rows.
+    theta and phi are scalars or arrays of one shape.  Returns one table of
+    shape (2, 6) + that shape, values first, then derivatives: the rows of
+    :func:`~rsdesitter.wigner.d_rows` times the phase.  Row
+    (2 sigma + 5) // 2 holds helicity sigma, so slot k reads row
+    ``_SLOT_ROW[k]``.  A helicity with |sigma| > j has no function at this
+    j and gives zero rows.
     """
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
-    two_sigmas = tuple(np.asarray(two_sigmas, dtype=int).ravel().tolist())
-    table = wigner.d_rows(mode.two_j, -mode.two_m, two_sigmas, theta) * np.exp(1j * mode.m_j * phi)
-    return table[0], table[1]
+    phase = np.exp(1j * mode.m_j * phi)
+    return wigner.d_rows(mode.two_j, -mode.two_m, _TABLE_TWO_SIGMA, theta) * phase
 
 
 def slot_table(mode: ModeLabel, theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -138,7 +145,7 @@ def slot_table(mode: ModeLabel, theta, phi) -> tuple[np.ndarray, np.ndarray, np.
     :func:`~rsdesitter.wigner.mixed_weight`.  Forced-zero slots give zero
     rows.  theta must lie inside (0, pi).
     """
-    values, dtheta = slot_functions(mode, SLOT_TWO_SIGMA, theta, phi)
+    values, dtheta = slot_functions(mode, theta, phi)[:, _SLOT_ROW]
     sigma = (SLOT_TWO_SIGMA / 2.0).reshape((16,) + (1,) * np.ndim(theta))
     return values, dtheta, mixed_weight(mode.m_j, sigma, theta) * values
 
@@ -146,14 +153,20 @@ def slot_table(mode: ModeLabel, theta, phi) -> tuple[np.ndarray, np.ndarray, np.
 def assemble(mode: ModeLabel, state: np.ndarray, theta: float, phi: float) -> np.ndarray:
     """Field value Phi(theta, phi): amplitude times slot angular function."""
     state = validate_state(mode, state)
-    return state * slot_functions(mode, SLOT_TWO_SIGMA, theta, phi)[0]
+    return state * slot_functions(mode, theta, phi)[0, _SLOT_ROW]
 
 
-def _assemble_terms(mode, amps_and_sigmas, theta, phi) -> np.ndarray:
-    """Sum of (slot, amplitude, two_sigma) contributions as a field vector."""
-    slots, amps, two_sigmas = zip(*amps_and_sigmas)
+def _closed_form(terms, values: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """Field vector of a closed-form reduction, from the value rows of one table.
+
+    Each (slot, source, coefficient, 2 sigma) term adds coefficient *
+    amplitudes[source] * D_sigma to its slot, in the order listed.  The
+    products are taken as arrays: a scalar complex product can round
+    differently.
+    """
+    slots, sources, coefs, two_sigmas = map(np.array, zip(*terms))
     out = np.zeros(16, dtype=complex)
-    np.add.at(out, list(slots), np.array(amps) * slot_functions(mode, two_sigmas, theta, phi)[0])
+    np.add.at(out, slots, coefs * amplitudes[sources] * values[(two_sigmas + 5) // 2])
     return out
 
 
@@ -181,6 +194,36 @@ def _xi_operators() -> np.ndarray:
     return table
 
 
+# Closed-form reductions: (slot, source amplitude, coefficient, 2 sigma)
+# terms, read by _closed_form.  Sources 0-3 are f0..f3, 4-7 are g0..g3.
+_C = 1j / np.sqrt(2.0)
+_C2 = 1j * np.sqrt(2.0)
+# sigma_1 x T~2: the +-1-helicity slots feed the spin-0 slot and back
+_LADDER_T2_TERMS = (
+    (1, 6, -_C, 1), (2, 5, _C, -1), (2, 7, -_C, 3), (3, 6, _C, 1),
+    (5, 2, -_C, -1), (6, 1, _C, -3), (6, 3, -_C, 1), (7, 2, _C, -1),
+)
+# -sigma_2 x T~1
+_LADDER_T1_TERMS = (
+    (1, 6, _C, 1), (2, 5, _C, -1), (2, 7, _C, 3), (3, 6, _C, 1),
+    (5, 2, -_C, -1), (6, 1, -_C, -3), (6, 3, -_C, 1), (7, 2, -_C, -1),
+)
+# their sum: only four slots survive; the second lower source is f3 (the g3
+# of one printed transcription fails the direct action)
+_LADDER_SUM_TERMS = ((2, 5, _C2, -1), (3, 6, _C2, 1), (5, 2, -_C2, -1), (6, 3, -_C2, 1))
+# 1 x T~03, on sources already scaled by the boost prefactor: minus signs on
+# both components (the plus variant of one printed transcription fails the
+# direct action)
+_BOOST_TERMS = ((2, 0, -1, -1), (0, 2, -1, -1), (6, 4, -1, 1), (4, 6, -1, 1))
+# angular operator, on sources scaled by the ladder coefficient a (X0, X2)
+# or b (X1, X3): the spin-0 lower slot takes -a f2 (the +a f2 of one
+# printed transcription fails the direct action)
+_ANGULAR_TERMS = (
+    (0, 4, 1j, -1), (1, 5, 1j, -3), (2, 6, 1j, -1), (3, 7, 1j, 1),
+    (4, 0, -1j, 1), (5, 1, -1j, -1), (6, 2, -1j, 1), (7, 3, -1j, 3),
+)
+
+
 def verify_T_action(mode: ModeLabel, state: np.ndarray, theta: float, phi: float) -> dict:
     """Residuals of the spin-ladder reductions on the xi block.
 
@@ -188,48 +231,16 @@ def verify_T_action(mode: ModeLabel, state: np.ndarray, theta: float, phi: float
     assembled upper block and compares with the closed slot formulas.
     """
     state = validate_state(mode, state)
-    f = state[0:4]
-    g = state[4:8]
-    xi = assemble(mode, state, theta, phi)[:8]
+    values = slot_functions(mode, theta, phi)[0]
+    xi = state[:8] * values[_SLOT_ROW[:8]]
     m25, m26 = _xi_operators()[:2]
-
-    c = 1j / np.sqrt(2.0)
-    # sigma_1 x T~2: the +-1-helicity slots feed the spin-0 slot and back
-    exp25 = _assemble_terms(
-        mode,
-        [
-            (1, -c * g[2], 1), (2, c * g[1], -1), (2, -c * g[3], 3), (3, c * g[2], 1),
-            (5, -c * f[2], -1), (6, c * f[1], -3), (6, -c * f[3], 1), (7, c * f[2], -1),
-        ],
-        theta,
-        phi,
-    )
-    # -sigma_2 x T~1
-    exp26 = _assemble_terms(
-        mode,
-        [
-            (1, c * g[2], 1), (2, c * g[1], -1), (2, c * g[3], 3), (3, c * g[2], 1),
-            (5, -c * f[2], -1), (6, -c * f[1], -3), (6, -c * f[3], 1), (7, -c * f[2], -1),
-        ],
-        theta,
-        phi,
-    )
-    # sum: only four slots survive; the second lower amplitude is f3 (the
-    # g3 seen in one printed transcription fails the direct action)
-    c2 = 1j * np.sqrt(2.0)
-    exp27 = _assemble_terms(
-        mode,
-        [
-            (2, c2 * g[1], -1), (3, c2 * g[2], 1),
-            (5, -c2 * f[2], -1), (6, -c2 * f[3], 1),
-        ],
-        theta,
-        phi,
-    )
     return {
-        "t2_part": float(np.abs(m25 @ xi - exp25[:8]).max()),
-        "t1_part": float(np.abs(m26 @ xi - exp26[:8]).max()),
-        "combined": float(np.abs((m25 + m26) @ xi - exp27[:8]).max()),
+        name: float(np.abs(mat @ xi - _closed_form(terms, values, state)[:8]).max())
+        for name, mat, terms in (
+            ("t2_part", m25, _LADDER_T2_TERMS),
+            ("t1_part", m26, _LADDER_T1_TERMS),
+            ("combined", m25 + m26, _LADDER_SUM_TERMS),
+        )
     }
 
 
@@ -238,68 +249,35 @@ def verify_j03_action(
 ) -> float:
     """Residual of the boost-block reduction on the xi block.
 
-    The boost generator couples the time and spin-0 slots with -1 entries,
-    so the closed form carries minus signs on both components (the variant
-    with plus signs fails the direct action and is recorded in
-    :data:`ADJUDICATIONS`).  The physical prefactor i phi'/(2 phi) at
-    ``omega`` is included.
+    The boost generator couples the time and spin-0 slots with -1 entries.
+    The physical prefactor i phi'/(2 phi) at ``omega`` is included.
     """
     state = validate_state(mode, state)
-    f = state[0:4]
-    g = state[4:8]
     pt = RadialPoint.from_omega(omega)
     pref = 1j * pt.phi_prime / (2.0 * pt.phi_metric)
-    mat = pref * _xi_operators()[2]
-    xi = assemble(mode, state, theta, phi)[:8]
-    expected = _assemble_terms(
-        mode,
-        [
-            (2, -pref * f[0], -1), (0, -pref * f[2], -1),
-            (6, -pref * g[0], 1), (4, -pref * g[2], 1),
-        ],
-        theta,
-        phi,
-    )
-    return float(np.abs(mat @ xi - expected[:8]).max())
-
-
-def _angular_action_block(mode, state, theta, phi) -> np.ndarray:
-    """Direct action of the angular operator on the assembled xi block.
-
-    i sigma_1 d_theta + sigma_2 (i d_phi + S~3 cos theta)/sin theta with
-    the derivatives taken analytically on the slot functions.
-    """
-    _, dtheta, mixed = slot_table(mode, theta, phi)
-    s1, s2 = _xi_operators()[3:5]
-    return 1j * (s1 @ (state[:8] * dtheta[:8])) + s2 @ (state[:8] * mixed[:8])
+    values = slot_functions(mode, theta, phi)[0]
+    xi = state[:8] * values[_SLOT_ROW[:8]]
+    expected = _closed_form(_BOOST_TERMS, values, pref * state)
+    return float(np.abs((pref * _xi_operators()[2]) @ xi - expected[:8]).max())
 
 
 def verify_angular_operator(mode: ModeLabel, state: np.ndarray, theta: float, phi: float) -> float:
     """Residual of the angular-operator reduction on the xi block.
 
-    The closed form carries ladder coefficients (a, b); the spin-0 lower
-    slot enters with -a (the +a variant of one printed transcription fails
-    the direct action, see :data:`ADJUDICATIONS`).
+    The direct action is i sigma_1 d_theta + sigma_2 (i d_phi + S~3 cos
+    theta)/sin theta, the derivatives taken analytically on the slot
+    functions.  The closed form carries ladder coefficients (a, b).
     """
     state = validate_state(mode, state)
     if not 0.0 < theta < np.pi:
         raise ValueError(f"theta must be interior to (0, pi), got {theta}")
-    f = state[0:4]
-    g = state[4:8]
+    table = slot_functions(mode, theta, phi)
+    values, dtheta = table[:, _SLOT_ROW[:8]]
+    mixed = mixed_weight(mode.m_j, SLOT_TWO_SIGMA[:8] / 2.0, theta) * values
+    s1, s2 = _xi_operators()[3:5]
+    direct = 1j * (s1 @ (state[:8] * dtheta)) + s2 @ (state[:8] * mixed)
     co = mode.coefficients()
-    a, b = co.a, co.b
-    direct = _angular_action_block(mode, state, theta, phi)
-    expected = _assemble_terms(
-        mode,
-        [
-            (0, 1j * a * g[0], -1), (1, 1j * b * g[1], -3),
-            (2, 1j * a * g[2], -1), (3, 1j * b * g[3], 1),
-            (4, -1j * a * f[0], 1), (5, -1j * b * f[1], -1),
-            (6, -1j * a * f[2], 1), (7, -1j * b * f[3], 3),
-        ],
-        theta,
-        phi,
-    )
+    expected = _closed_form(_ANGULAR_TERMS, table[0], state * np.tile((co.a, co.b), 8))
     return float(np.abs(direct - expected[:8]).max())
 
 
@@ -342,6 +320,10 @@ def trace_relations(state: np.ndarray) -> np.ndarray:
     )
 
 
+# gamma^l Psi_l, row s in slot 4 s, on the sources of trace_relations
+_TRACE_TERMS = ((0, 2, 1, -1), (4, 3, 1, 1), (8, 0, 1, -1), (12, 1, 1, 1))
+
+
 def verify_trace_constraint(
     mode: ModeLabel, state: np.ndarray, theta: float, phi: float
 ) -> TraceCheck:
@@ -352,18 +334,16 @@ def verify_trace_constraint(
     xi-side pair up to the overall sign delta.
     """
     state = validate_state(mode, state)
-    bisp = _spherical_bispinors(assemble(mode, state, theta, phi))
+    values = slot_functions(mode, theta, phi)[0]
+    bisp = _spherical_bispinors(state * values[_SLOT_ROW])
     total = sum(algebra.gamma_matrix(l) @ bisp[l] for l in range(4))
 
     rel = trace_relations(state)
-    expected = _assemble_terms(
-        mode, [(0, rel[2], -1), (4, rel[3], 1), (8, rel[0], -1), (12, rel[1], 1)], theta, phi
-    )
-    expected_bisp = expected[np.array([0, 4, 8, 12])]
+    expected = _closed_form(_TRACE_TERMS, values, rel)[::4]
     return TraceCheck(
         field_residual=float(np.abs(total).max()),
         relations=rel,
-        consistency=float(np.abs(total - expected_bisp).max()),
+        consistency=float(np.abs(total - expected).max()),
     )
 
 
@@ -445,11 +425,16 @@ def verify_divergence_constraint(
         phis = np.array([phis[0], phis[0] + 0.9, phis[0] + 1.7])
     if thetas.shape != phis.shape:
         raise ValueError("theta and phi sample arrays must have equal length")
+    if not np.all((thetas > 0.0) & (thetas < np.pi)):
+        raise ValueError(f"theta samples must be interior to (0, pi), got {thetas}")
 
-    values = _divergence_values(mode, state, dstate, RadialPoint.from_omega(omega), thetas, phis)
+    # one table per angle, stacked [values/derivatives, angle, helicity]: a
+    # slot_functions call over all angles is one gemm, which rounds differently
+    tables = np.stack([slot_functions(mode, th, ph) for th, ph in zip(thetas, phis)], axis=1)
+    values = _divergence_values(mode, state, dstate, RadialPoint.from_omega(omega), thetas, tables)
 
-    # component sigma pattern of the collapsed constraint
-    coeffs = values / slot_functions(mode, (-1, 1, -1, 1), thetas, phis)[0]
+    # the bispinor components collapse onto helicities (-1/2, +1/2, -1/2, +1/2)
+    coeffs = values / tables[0][:, [2, 3, 2, 3]].T
     extracted = coeffs.mean(axis=1)
     collapse = float(np.abs(coeffs - extracted[:, None]).max())
 
@@ -471,21 +456,18 @@ def _divergence_values(
     dstate: np.ndarray,
     pt: RadialPoint,
     thetas: np.ndarray,
-    phis: np.ndarray,
+    tables: np.ndarray,
 ) -> np.ndarray:
     """The divergence constraint (a 4-component bispinor) at every sample angle, shape (4, n).
 
-    Sums the coordinate-derivative, tetrad-divergence and spinor-connection
-    terms of (nabla + Gamma) e Psi with the separation prefactor divided
-    out; the radial derivative therefore picks up the prefactor slope
-    -1/r - phi'/(4 phi).
+    ``tables`` stacks the :func:`slot_functions` table of each angle on
+    axis 1.  Sums the coordinate-derivative, tetrad-divergence and
+    spinor-connection terms of (nabla + Gamma) e Psi with the separation
+    prefactor divided out; the radial derivative therefore picks up the
+    prefactor slope -1/r - phi'/(4 phi).
     """
     r, sq, p = pt.r, pt.sqrt_phi, pt.phi_metric
-    # one slot_functions call per angle: a call over all angles is one gemm,
-    # which rounds differently
-    values, dtheta = np.stack(
-        [slot_functions(mode, SLOT_TWO_SIGMA, th, ph) for th, ph in zip(thetas, phis)], axis=1
-    )
+    values, dtheta = tables[..., _SLOT_ROW]
     # [n, l, row]: Psi_l of the field, of its radial and of its theta derivative
     psi, dpsi_w, dpsi_th = _spherical_bispinors(
         np.stack([state * values, dstate * values, state * dtheta])
@@ -538,8 +520,8 @@ def project_to_amplitudes(
     weight on the other functions or fit residual is the leakage.
     """
     values = np.asarray(values, dtype=complex)
-    two_sigmas = np.array([ts for ts in range(-5, 6, 2) if abs(ts) <= mode.two_j])
-    basis = slot_functions(mode, two_sigmas, thetas, phis)[0].T  # [n_angles, n_sigma]
+    two_sigmas = np.array([ts for ts in _TABLE_TWO_SIGMA if abs(ts) <= mode.two_j])
+    basis = slot_functions(mode, thetas, phis)[0, (two_sigmas + 5) // 2].T  # [n_angles, n_sigma]
     rhs = values.reshape(-1, values.shape[-1]).T
     coef = np.linalg.lstsq(basis, rhs, rcond=None)[0]
     fit_residual = float(np.abs(rhs - basis @ coef).max())

@@ -34,6 +34,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -640,6 +641,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="accepted for compatibility and must be at least 1; has no effect "
         "(the sweep starts no worker processes)",
     )
+    # argparse takes only -1 and -0.5 for numbers; read any '-' before a digit
+    # or '.' as a value (-1/2, -1.3+0.4j, -1,2).  No option here looks like one.
+    for subparser in sub.choices.values():
+        subparser._negative_number_matcher = re.compile(r"^-[\d.]")
     return parser
 
 

@@ -63,6 +63,12 @@ def _check_theta(theta: float) -> None:
         raise ValueError(f"theta must lie in (0, pi), got {theta}")
 
 
+def _check_theta_and_step(theta: float, h: float) -> None:
+    _check_theta(theta)
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"finite-difference step must be finite and positive, got {h}")
+
+
 def metric(point: RadialPoint, theta: float) -> np.ndarray:
     """Metric diag(phi, -1/phi, -r^2, -r^2 sin^2 theta) at (r, theta)."""
     _check_theta(theta)
@@ -107,6 +113,7 @@ def connections_fd(
     Evaluated with G the bispinor generators (first tuple) and the vector
     generators (second tuple), everything else by central differences.
     """
+    _check_theta_and_step(theta, h)
     gammas, ells = _connections_fd_at(point.r, theta, h)
     return tuple(gammas), tuple(ells)
 
@@ -115,6 +122,7 @@ def tetrad_divergences_fd(
     point: RadialPoint, theta: float, h: float = 1e-5
 ) -> np.ndarray:
     """Brute-force (1/sqrt|g|) d_alpha (sqrt|g| e^{(a)alpha})."""
+    _check_theta_and_step(theta, h)
     return _tetrad_divergences_fd_at(point.r, theta, h)
 
 

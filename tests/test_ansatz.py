@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from rsdesitter import algebra, ansatz, radial
+from rsdesitter import algebra, ansatz, cli, radial, wigner
 from rsdesitter.ansatz import SLOT_TWO_SIGMA, ModeLabel
 from rsdesitter.geometry import RadialPoint, connections, tetrad_divergences
-from rsdesitter.wigner import wigner_D
+from rsdesitter.wigner import mixed_weight, wigner_D
 
 JS = (0.5, 1.5, 2.5)
+
+# row of each slot's own function in a slot_functions table
+SLOT_ROW = (SLOT_TWO_SIGMA + 5) // 2
 
 # amplitude-level image of the combined inversion matrix: the vector part
 # swaps the spin +-1 slots, the bispinor part swaps the xi and eta blocks
@@ -37,6 +40,27 @@ def apply_inversion(mode, state, theta, phi):
     return combined @ ansatz.assemble(mode, state, np.pi - theta, phi + np.pi)
 
 
+def _assemble_terms(mode, amps_and_sigmas, theta, phi):
+    """Sum of (slot, amplitude, two_sigma) contributions as a field vector."""
+    slots, amps, two_sigmas = zip(*amps_and_sigmas)
+    rows = (np.array(two_sigmas) + 5) // 2
+    out = np.zeros(16, dtype=complex)
+    np.add.at(out, list(slots), np.array(amps) * ansatz.slot_functions(mode, theta, phi)[0, rows])
+    return out
+
+
+def _angular_action_block(mode, state, theta, phi):
+    """Direct action of the angular operator on the assembled xi block.
+
+    i sigma_1 d_theta + sigma_2 (i d_phi + S~3 cos theta)/sin theta with
+    the derivatives taken analytically on the slot functions.
+    """
+    values, dtheta = ansatz.slot_functions(mode, theta, phi)[:, SLOT_ROW[:8]]
+    mixed = mixed_weight(mode.m_j, SLOT_TWO_SIGMA[:8] / 2.0, theta) * values
+    s1, s2 = np.kron(algebra.pauli(1), np.eye(4)), np.kron(algebra.pauli(2), np.eye(4))
+    return 1j * (s1 @ (state[:8] * dtheta)) + s2 @ (state[:8] * mixed)
+
+
 def verify_radial_derivative(mode, state_deriv, theta, phi):
     """Residual of the radial-derivative slot pattern on the xi block.
 
@@ -48,7 +72,7 @@ def verify_radial_derivative(mode, state_deriv, theta, phi):
     dg = state_deriv[4:8]
     field = ansatz.assemble(mode, state_deriv, theta, phi)[:8]
     direct = 1j * (np.kron(algebra.pauli(3), np.eye(4)) @ field)
-    expected = ansatz._assemble_terms(
+    expected = _assemble_terms(
         mode,
         [(l, 1j * df[l], SLOT_TWO_SIGMA[l]) for l in range(4)]
         + [(4 + l, -1j * dg[l], SLOT_TWO_SIGMA[4 + l]) for l in range(4)],
@@ -180,7 +204,7 @@ def test_angular_operator_minimal_j_single_g0():
     state = np.zeros(16, dtype=complex)
     state[4] = 2.0  # g0
     theta, phi = 0.9, 0.3
-    out = ansatz._angular_action_block(mode, state, theta, phi)
+    out = _angular_action_block(mode, state, theta, phi)
     expected = np.zeros(8, dtype=complex)
     # a = 1 at minimal j
     expected[0] = 1j * 1.0 * 2.0 * wigner_D(0.5, 0.5, -0.5, theta, phi)
@@ -192,7 +216,7 @@ def test_angular_operator_uses_b_at_higher_j():
     state = np.zeros(16, dtype=complex)
     state[1] = 1.0  # f1
     theta, phi = 1.1, 0.6
-    out = ansatz._angular_action_block(mode, state, theta, phi)
+    out = _angular_action_block(mode, state, theta, phi)
     b = mode.coefficients().b
     expected = np.zeros(8, dtype=complex)
     expected[5] = -1j * b * wigner_D(2.5, 0.5, -0.5, theta, phi)
@@ -249,6 +273,17 @@ def test_divergence_assembly_random_data():
         assert chk.residual < 1e-8
         # the transcription without the radial-slope term fails by O(1)
         assert chk.printed_variant_residual > 1e-2
+
+
+@pytest.mark.parametrize("theta", [0.0, np.pi, 4.0, np.nan])
+def test_divergence_check_rejects_sample_angles_outside_the_open_interval(theta):
+    mode = _mode(1.5)
+    rng = np.random.default_rng(22)
+    state, dstate = ansatz.random_state(mode, rng), ansatz.random_state(mode, rng)
+    for thetas in (theta, [0.9, theta, 1.4]):
+        phis = np.zeros(np.size(thetas))
+        with pytest.raises(ValueError, match="theta samples"):
+            ansatz.verify_divergence_constraint(mode, state, dstate, 0.7, thetas, phis)
 
 
 def test_divergence_satisfied_component_vanishes():
@@ -320,7 +355,7 @@ def test_operator_closure_no_leakage():
             field = ansatz.assemble(mode, state, th, ph)
             upper = (m25 + m26) @ field[:8]
             samples[:8, n] = upper
-            samples[8:, n] = ansatz._angular_action_block(mode, state, th, ph)
+            samples[8:, n] = _angular_action_block(mode, state, th, ph)
         _, leak = ansatz.project_to_amplitudes(mode, samples, thetas, phis)
         assert leak < 1e-9
 
@@ -331,7 +366,7 @@ def test_batched_projection_matches_single_columns():
     for j in JS:
         mode = _mode(j)
         states = np.stack([ansatz.random_state(mode, rng) for _ in range(5)], axis=1)
-        values, _ = ansatz.slot_functions(mode, ansatz.SLOT_TWO_SIGMA, thetas, phis)
+        values = ansatz.slot_table(mode, thetas, phis)[0]
         # (16, K, n): K states sampled, plus noise off the slot functions
         samples = states[:, :, None] * values[:, None, :]
         samples += 1e-3 * rng.normal(size=samples.shape)
@@ -355,7 +390,7 @@ def _trace_by_loop(mode, state, theta, phi):
         bisp = sum(uinv[l, k] * psi[k] for k in range(4))
         total += algebra.gamma_matrix(l) @ bisp
     rel = ansatz.trace_relations(state)
-    expected = ansatz._assemble_terms(
+    expected = _assemble_terms(
         mode, [(0, rel[2], -1), (4, rel[3], 1), (8, rel[0], -1), (12, rel[1], 1)], theta, phi
     )
     return float(np.abs(total).max()), float(np.abs(total - expected[[0, 4, 8, 12]]).max())
@@ -369,7 +404,7 @@ def _divergence_value(mode, state, dstate, pt, theta, phi):
     def cyclic_bispinors(field):
         return [field[np.array([0, 4, 8, 12]) + k] for k in range(4)]
 
-    values, dtheta = ansatz.slot_functions(mode, SLOT_TWO_SIGMA, theta, phi)
+    values, dtheta = ansatz.slot_functions(mode, theta, phi)[:, SLOT_ROW]
     psi = cyclic_bispinors(state * values)
     dpsi_w = cyclic_bispinors(dstate * values)
     dpsi_th = cyclic_bispinors(state * dtheta)
@@ -415,7 +450,10 @@ def test_divergence_values_equal_the_per_angle_sums():
             pt = RadialPoint.from_omega(rng.uniform(0.1, 1.45))
             thetas = rng.uniform(0.05, np.pi - 0.05, n)
             phis = rng.uniform(0.0, 2 * np.pi, n)
-            batched = ansatz._divergence_values(mode, state, dstate, pt, thetas, phis)
+            tables = np.stack(
+                [ansatz.slot_functions(mode, th, ph) for th, ph in zip(thetas, phis)], axis=1
+            )
+            batched = ansatz._divergence_values(mode, state, dstate, pt, thetas, tables)
             loop = [_divergence_value(mode, state, dstate, pt, th, ph)
                     for th, ph in zip(thetas, phis)]
             assert batched.shape == (4, n)
@@ -437,3 +475,14 @@ def test_xi_operator_table_is_built_once_and_read_only():
     )
     for entry, expected in zip(table, factors):
         assert entry.tobytes() == expected.tobytes()
+
+
+def test_verify_ansatz_builds_one_slot_table_per_check_and_divergence_angle(tmp_path, monkeypatch):
+    # ten points, each with four one-angle checks and a three-angle divergence check
+    calls = []
+    d_rows = wigner.d_rows
+    monkeypatch.setattr(wigner, "d_rows", lambda *args: calls.append(args) or d_rows(*args))
+    assert cli.main(["verify", "ansatz", "--j", "5/2", "--out", str(tmp_path)]) == 0
+    assert 0 < len(calls) <= 70
+    assert not hasattr(ansatz, "_assemble_terms")
+    assert not hasattr(ansatz, "_angular_action_block")

@@ -642,3 +642,32 @@ def test_command_line_beats_the_config_file(tmp_path, monkeypatch):
     assert (integrate["mass"], integrate["tol"], integrate["command"]) == (0.7, 1e-10, "integrate")
     assert (verify["suite"], verify["m"]) == ("wigner", "1/2")
     assert (verify["grid"], verify["seed"]) == (7, 2)
+
+
+def _outputs_apart_from_out(directory):
+    """Every file in ``directory`` by name: its bytes, or a manifest without any ``out`` entry."""
+    files = {}
+    for path in sorted(directory.iterdir()):
+        if path.name.endswith(".manifest.json"):
+            manifest = json.loads(path.read_text())
+            manifest["config"].pop("out", None)
+            files[path.name] = manifest
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["reduce", "--j", "7/2", "--delta", "+1", "--omega", "0.8"], "--m", "-1/2"),
+        (["reduce", "--j", "3/2", "--delta", "-1", "--omega", "0.8"], "--eps", "-1.3+0.4j"),
+        (["sweep", "--j", "1/2", "--delta", "+1", "--mass-list", "0.7", "--from", "0.3",
+          "--to", "0.6"], "--eps-list", "-1,2"),
+    ],
+)
+def test_a_value_starting_with_a_minus_is_read_as_a_value(tmp_path, argv, flag, value):
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert run(argv + [flag, value, "--out", str(spaced)]) == 0
+    assert run(argv + [f"{flag}={value}", "--out", str(joined)]) == 0
+    assert _outputs_apart_from_out(spaced) == _outputs_apart_from_out(joined)

@@ -123,6 +123,17 @@ def test_tetrad_divergences_pole_rejected():
         geometry.tetrad_divergences(pt, 0.0)
 
 
+@pytest.mark.parametrize("oracle", [geometry.connections_fd, geometry.tetrad_divergences_fd])
+@pytest.mark.parametrize(
+    "theta, h, message",
+    [(0.0, 1e-5, "theta"), (np.pi, 1e-5, "theta"), (4.0, 1e-5, "theta"), (np.nan, 1e-5, "theta"),
+     (0.9, 0.0, "step"), (0.9, -1e-5, "step"), (0.9, np.nan, "step")],
+)
+def test_finite_difference_oracles_reject_bad_theta_and_step(oracle, theta, h, message):
+    with pytest.raises(ValueError, match=message):
+        oracle(RadialPoint.from_omega(0.7), theta, h)
+
+
 def _loop_christoffels(r, theta, h=1e-5):
     g_inv = np.linalg.inv(geometry._metric_at(r, theta))
     dg = geometry._metric_partials(r, theta, h)

@@ -72,27 +72,27 @@ def test_table_matches_explicit_sum_for_every_label():
 def test_slot_functions_match_explicit_sum_per_helicity():
     thetas = np.linspace(0.2, 2.9, 7).reshape(7, 1)
     phis = np.linspace(-1.0, 4.0, 3).reshape(1, 3)
-    two_sigmas = (-5, -3, -1, 1, 3, 5, 1, -3)  # repeats and |sigma| > j included
     for two_j in range(1, 8, 2):
         for two_m in range(-two_j, two_j + 1, 2):
             mode = ansatz.ModeLabel(j=two_j / 2, m_j=two_m / 2)
-            values, dtheta = ansatz.slot_functions(mode, two_sigmas, thetas, phis)
-            assert values.shape == dtheta.shape == (len(two_sigmas), 7, 3)
+            table = ansatz.slot_functions(mode, thetas, phis)
+            assert table.shape == (2, 6, 7, 3)
             phase = np.exp(1j * mode.m_j * phis)
-            for i, two_sigma in enumerate(two_sigmas):
+            for two_sigma in (-5, -3, -1, 1, 3, 5):  # |sigma| > j included
+                values, dtheta = table[:, (two_sigma + 5) // 2]
                 if abs(two_sigma) > two_j:
-                    assert not values[i].any() and not dtheta[i].any()
+                    assert not values.any() and not dtheta.any()
                     continue
                 labels = (mode.j, -mode.m_j, two_sigma / 2, thetas)
-                assert np.abs(values[i] - phase * _explicit_sum(*labels)).max() < 1e-14
-                assert np.abs(dtheta[i] - phase * _explicit_sum(*labels, deriv=True)).max() < 1e-14
-            one = ansatz.slot_functions(mode, two_sigmas, 0.7, 1.3)
-            assert one[0].shape == one[1].shape == (len(two_sigmas),)
+                assert np.abs(values - phase * _explicit_sum(*labels)).max() < 1e-14
+                assert np.abs(dtheta - phase * _explicit_sum(*labels, deriv=True)).max() < 1e-14
+            assert ansatz.slot_functions(mode, 0.7, 1.3).shape == (2, 6)
 
 
-def _stacked_slot_functions(mode, two_sigmas, theta, phi):
+def _stacked_slot_functions(mode, theta, phi):
     """Oracle: exp(i m phi) times one product of a locally stacked d_weights table."""
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    two_sigmas = (-5, -3, -1, 1, 3, 5)
     table = np.zeros((2, len(two_sigmas), mode.two_j + 1))
     for i, two_sigma in enumerate(two_sigmas):
         if abs(two_sigma) <= mode.two_j:
@@ -100,23 +100,19 @@ def _stacked_slot_functions(mode, two_sigmas, theta, phi):
     weights = table.reshape(2 * len(two_sigmas), mode.two_j + 1)
     basis = wigner.power_basis(mode.two_j, theta).reshape(mode.two_j + 1, -1)
     table = (weights @ basis) * np.exp(1j * mode.m_j * phi).ravel()
-    table = table.reshape((2, len(two_sigmas)) + theta.shape)
-    return table[0], table[1]
+    return table.reshape((2, len(two_sigmas)) + theta.shape)
 
 
 def test_slot_functions_equal_the_stacked_weight_product():
     grid = (np.linspace(0.3, 2.8, 5).reshape(5, 1), np.linspace(-0.5, 5.0, 3).reshape(1, 3))
     angles = [grid, (0.9, 2.1), (np.array([1.2]), np.array([0.4]))]
-    tuples = [tuple(ansatz.SLOT_TWO_SIGMA.tolist()), (-1, 1, -1, 1), (-5, -3, -1, 1, 3, 5, 1)]
     for two_j in range(1, 8, 2):
         for two_m in sorted({1, -1, two_j, -two_j}):
             mode = ansatz.ModeLabel(j=two_j / 2, m_j=two_m / 2)
-            for two_sigmas in tuples:
-                for theta, phi in angles:
-                    got = ansatz.slot_functions(mode, two_sigmas, theta, phi)
-                    want = _stacked_slot_functions(mode, two_sigmas, theta, phi)
-                    for g, w in zip(got, want):
-                        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+            for theta, phi in angles:
+                got = ansatz.slot_functions(mode, theta, phi)
+                want = _stacked_slot_functions(mode, theta, phi)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_d_rows_shape_and_zero_rows_beyond_j():
