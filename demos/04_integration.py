@@ -4,8 +4,8 @@ A state projected onto the constraint surface is propagated across most
 of the radial interval; the normalized constraint residuals stay at the
 integrator's noise level because the surface is exactly flow-invariant.
 Also shown: endpoint exponents, a regular launch from near the origin,
-and an inward run from near the horizon (library API; the command-line
-tool only integrates outward).
+and an inward run from near the horizon (the command-line tool does the
+same with ``integrate --from 1.5 --to 0.5 --launch k``).
 """
 
 import numpy as np

@@ -374,7 +374,7 @@ def divergence_relations(
     transcriptions that drop it are recorded in :data:`ADJUDICATIONS`.
     """
     state = validate_state(mode, state)
-    dstate = np.asarray(state_deriv, dtype=complex)
+    dstate = validate_state(mode, state_deriv)
     co = mode.coefficients()
     a, b = co.a, co.b
     s2 = np.sqrt(2.0)
@@ -413,10 +413,10 @@ def verify_divergence_constraint(
     coefficients match :func:`divergence_relations`.  theta/phi may be
     scalars (companion angles are added) or equal-length sequences.
     """
-    state = validate_state(mode, state)
-    dstate = validate_state(mode, state_deriv)
     if not 0.0 < omega < 0.5 * np.pi:
         raise ValueError(f"omega must lie in (0, pi/2), got {omega}")
+    closed = divergence_relations(mode, state, state_deriv, omega)  # validates both
+    state, dstate = np.asarray(state, dtype=complex), np.asarray(state_deriv, dtype=complex)
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
     phis = np.atleast_1d(np.asarray(phi, dtype=float))
     if thetas.size == 1:
@@ -438,7 +438,6 @@ def verify_divergence_constraint(
     extracted = coeffs.mean(axis=1)
     collapse = float(np.abs(coeffs - extracted[:, None]).max())
 
-    closed = divergence_relations(mode, state, dstate, omega)
     slope = 1.0 / np.tan(omega) - np.tan(omega) / 2.0
     printed = closed + slope * state[np.array([2, 6, 10, 14])]
     return DivergenceCheck(

@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -82,6 +83,17 @@ def parse_complex(text: str) -> complex:
         return complex(text.replace(" ", ""))
     except ValueError as exc:
         raise ValueError(f"cannot parse complex value {text!r}") from exc
+
+
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, as numpy's generators require."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def read_config(path: str) -> list[tuple[int, str, str]]:
@@ -474,7 +486,7 @@ def _prepare_job(args, tag: str) -> _Job:
         if launch.resonant:
             manifest.warn("resonant exponent: first-order correction is least-squares")
     else:
-        rng = np.random.default_rng(int(args.seed))
+        rng = np.random.default_rng(args.seed)
         seed_state = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         y0 = solver.constraint_kernel_state(cons, w_from, seed_state, zero_slots=zero)
 
@@ -524,14 +536,10 @@ def _sweep_jobs(args) -> list[_Job]:
     """Every job of the sweep, validated and launched; ValueError if any is bad."""
     if args.j is None or args.frm is None or args.to is None:
         raise ValueError("--j, --from and --to are required (flag or config file)")
-    j_list = [v for v in args.j.split(",") if v]
-    eps_list = [v for v in (args.eps_list or "1.0").split(",") if v]
-    mass_list = [v for v in (args.mass_list or "0.0").split(",") if v]
+    # (j, eps, mass, delta) with delta varying fastest
+    lists = [[v for v in text.split(",") if v] for text in (args.j, args.eps_list, args.mass_list)]
     deltas = ("+1", "-1") if args.delta == "both" else (args.delta,)
-    grid = [
-        (j, eps, mass, delta)
-        for j in j_list for eps in eps_list for mass in mass_list for delta in deltas
-    ]
+    grid = list(itertools.product(*lists, deltas))
     if not grid:
         raise ValueError("the sweep has no jobs")
     if int(args.workers) < 1:
@@ -540,7 +548,7 @@ def _sweep_jobs(args) -> list[_Job]:
     for idx, (j, eps, mass, delta) in enumerate(grid):
         ns = argparse.Namespace(
             j=j, m=getattr(args, "m", None), delta=delta, eps=eps, mass=mass,
-            frm=args.frm, to=args.to, tol=args.tol, launch=None, seed=int(args.seed) + idx,
+            frm=args.frm, to=args.to, tol=args.tol, launch=None, seed=args.seed + idx,
         )
         tag = f"sweep_{idx:03d}"
         try:
@@ -600,7 +608,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--m", default=None, help="half-integer projection")
     ver.add_argument("--points", type=int, default=20)
     ver.add_argument("--grid", type=int, default=100)
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=_seed, default=0)
 
     def mode_flags(p):
         p.add_argument("--j", help="half-integer, e.g. 1/2 (required)")
@@ -613,7 +621,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--from", dest="frm", type=float)
         p.add_argument("--to", type=float)
         p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
 
     red = sub.add_parser("reduce", parents=[common], help="reduced system at one omega")
     mode_flags(red)
@@ -672,7 +680,7 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespa
             raise ValueError(f"{args.config}:{lineno}: {key!r} is not an option of {args.command}")
         try:
             setattr(config, action.dest, action.type(text) if action.type else text)
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"{args.config}:{lineno}: {key}: {exc}") from exc
     return sub.parse_args(argv[argv.index(args.command) + 1:], config)
 

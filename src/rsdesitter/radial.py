@@ -22,11 +22,10 @@ and the divergence constraint rows at those omegas are one (k, 5) @ stack
 product, and a single point is the k = 1 case.  A :class:`SystemBatch`
 holds the stacks of many systems and takes their weights at once, with
 one energy and mass per member.  The omega-derivative of the constraint
-rows and the endpoint residues and subleading terms
-(:meth:`RadialSystem.laurent`) are fixed weight vectors on the same
-stacks.  ``build_A8``, ``build_A16``, ``constraint_matrix``,
-``constraint_matrix_derivative`` and ``singular_residues`` make such an
-object for their mode and read it.
+rows (:meth:`ConstraintSet.derivatives`) and the endpoint residues and
+subleading terms (:meth:`RadialSystem.laurent`) are fixed weights on the
+same stacks.  ``build_A8``, ``build_A16``, ``constraint_matrix`` and
+``singular_residues`` make such an object for their mode and read it.
 
 Diagonalizing spatial inversion halves the system: amplitudes (h, nu) are
 tied to (g, f) by the sign delta, and the reduced 8x8 generator equals the
@@ -35,8 +34,9 @@ tied to (g, f) by the sign delta, and the reduced 8x8 generator equals the
 The gamma-trace constraint supplies two algebraic rows; the divergence
 constraint supplies two differential rows which become algebraic once the
 radial derivatives are eliminated through the flow.  The resulting
-four-row constraint surface is invariant under the flow, which
-:func:`consistency_check` certifies numerically.
+four-row constraint surface is invariant under the flow, C' + C A = Lambda C
+with Lambda in closed form (:func:`flow_mixing`); :func:`consistency_check`
+certifies it at any omegas.
 """
 
 from __future__ import annotations
@@ -361,14 +361,6 @@ def constraint_matrix(mode: ModeLabel, omega: float) -> np.ndarray:
     return ConstraintSet(mode).matrices(omega)[0]
 
 
-def constraint_matrix_derivative(mode: ModeLabel, omega: float) -> np.ndarray:
-    """Exact omega-derivative of :func:`constraint_matrix`."""
-    stack = ConstraintSet(mode).stack
-    e, t, inv_s, inv_t, _ = _scalar_rows(omega, mode.eps, mode.mass)[0]
-    weights = np.array([e * t, 1.0 + t * t, -inv_s * inv_t, -inv_s * inv_s, 0.0])
-    return (weights @ stack).reshape(4, 8)
-
-
 def constraint_rank(svals: np.ndarray) -> int:
     """Numerical rank of constraint rows from their descending singular values."""
     return int((svals > _RANK_RTOL * svals[0]).sum())
@@ -400,6 +392,15 @@ class ConstraintSet:
         c += _TRACE_ROWS
         return c
 
+    def derivatives(self, omegas) -> np.ndarray:
+        """Exact C' at a scalar or 1-d array of omegas: (k, 4, 8), on the same stack.
+
+        The five scalars' derivatives are E T, 1 + T^2, -1/(sin tan), -1/sin^2 and 0.
+        """
+        e, t, inv_s, inv_t, m = _scalar_rows(omegas, self.mode.eps, self.mode.mass).T
+        weights = np.stack([e * t, 1.0 + t * t, -inv_s * inv_t, -inv_s * inv_s, 0.0 * m], axis=1)
+        return (weights @ self.stack).reshape(-1, 4, 8)
+
     def residuals(self, omega: float, state: np.ndarray) -> np.ndarray:
         """Normalized residuals of the four rows at one point: a one-point :meth:`residuals_many`."""
         return self.residuals_many([omega], [state])[0]
@@ -427,55 +428,46 @@ class ConstraintSet:
         return out
 
 
+def flow_mixing(mode: ModeLabel, omegas) -> np.ndarray:
+    """Closed-form Lambda of C' + C A = Lambda C: (k, 4, 4) at a scalar or 1-d array of omegas.
+
+    Lambda = [[L, sqrt2 I], [-(3/sqrt2) I, -L]] with L = [[-iE, a/sin + i m_eff],
+    [a/sin - i m_eff, iE]] and m_eff = delta * mass.  It does not involve b, and
+    holds for every j because the ladder coefficients satisfy b^2 = a^2 - 1.
+    """
+    if mode.delta not in (1, -1):
+        raise ValueError("the flow mixing needs delta = +1 or -1 in the mode label")
+    rows = _scalar_rows(omegas, mode.eps, mode.delta * float(mode.mass))
+    ie, s, im = 1j * rows[:, 0], mode.coefficients().a * rows[:, 2], 1j * rows[:, 4]
+    lam = np.zeros((len(rows), 4, 4), dtype=complex)
+    lam[:, 0, 0], lam[:, 0, 1] = -ie, s + im
+    lam[:, 1, 0], lam[:, 1, 1] = s - im, ie
+    lam[:, 2:, 2:] = -lam[:, :2, :2]
+    lam[:, [0, 1], [2, 3]] = _S2
+    lam[:, [2, 3], [0, 1]] = -3.0 / _S2
+    return lam
+
+
 def consistency_check(mode: ModeLabel, omegas) -> list[dict]:
     """Certify that the constraint surface is invariant under the flow.
 
-    At each omega the total derivative C' + C A is compared with its best
-    least-squares representation Lambda C; a residual at rounding level
-    means the flow cannot leave the surface.  The first two Lambda rows
-    have closed forms (:func:`expected_lambda_first_rows`); their largest
-    deviation is reported alongside.  Also reports the rank of C, i.e. the
-    codimension of the constraint surface.
+    Reports at each omega the largest entry of C' + C A - Lambda C (Lambda
+    from :func:`flow_mixing`), absolute and relative to max(|C' + C A|, 1),
+    and the rank of C, the codimension of the surface.  A residual at
+    rounding level means the flow cannot leave the surface.
     """
-    report = []
-    for omega in np.atleast_1d(np.asarray(omegas, dtype=float)):
-        c = constraint_matrix(mode, omega)
-        total = constraint_matrix_derivative(mode, omega) + c @ build_A8(mode, omega)
-        lam = total @ np.linalg.pinv(c)
-        resid = float(np.abs(total - lam @ c).max())
-        scale = float(max(np.abs(total).max(), 1.0))
-        svals = np.linalg.svd(c, compute_uv=False)
-        report.append(
-            {
-                "omega": float(omega),
-                "residual": resid,
-                "relative_residual": resid / scale,
-                "constraint_rank": constraint_rank(svals),
-                "lambda": lam,
-                "lambda_closed_form_residual": float(
-                    np.abs(lam[:2] - expected_lambda_first_rows(mode, omega)).max()
-                ),
-            }
-        )
-    return report
-
-
-def expected_lambda_first_rows(mode: ModeLabel, omega: float) -> np.ndarray:
-    """Closed-form mixing of the algebraic rows' flow derivative.
-
-    d/domega of the two gamma-trace rows along the flow equals
-    (-iE C1 + (a/sin + i m_eff) C2 + sqrt2 K1) and
-    ((a/sin - i m_eff) C1 + iE C2 + sqrt2 K2).
-    """
-    e, _, inv_s, _, m = _scalar_rows(omega, mode.eps, mode.mass)[0]
-    a = mode.coefficients().a
-    m_eff = mode.delta * m
-    return np.array(
-        [
-            [-1j * e, a * inv_s + 1j * m_eff, _S2, 0.0],
-            [a * inv_s - 1j * m_eff, 1j * e, 0.0, _S2],
-        ]
-    )
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    cons = ConstraintSet(mode)
+    c = cons.matrices(omegas)
+    total = cons.derivatives(omegas) + c @ RadialSystem(mode, 8).matrices(omegas)
+    resid = np.abs(total - flow_mixing(mode, omegas) @ c).max(axis=(1, 2))
+    scale = np.maximum(np.abs(total).max(axis=(1, 2)), 1.0)
+    svals = np.linalg.svd(c, compute_uv=False)
+    return [
+        {"omega": float(w), "residual": float(r), "relative_residual": float(r / sc),
+         "constraint_rank": constraint_rank(sv)}
+        for w, r, sc, sv in zip(omegas, resid, scale, svals)
+    ]
 
 
 # ---------------------------------------------------------------------------

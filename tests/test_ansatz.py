@@ -286,6 +286,23 @@ def test_divergence_check_rejects_sample_angles_outside_the_open_interval(theta)
             ansatz.verify_divergence_constraint(mode, state, dstate, 0.7, thetas, phis)
 
 
+@pytest.mark.parametrize("bad", ["short", "nan", "forced-zero"])
+def test_divergence_relations_reject_a_bad_derivative(bad):
+    # at j = 1/2 the f1 slot (index 1) is forced to zero, in the derivative too
+    mode = _mode(0.5)
+    rng = np.random.default_rng(31)
+    state, dstate = ansatz.random_state(mode, rng), ansatz.random_state(mode, rng)
+    dstate = {
+        "short": dstate[:3],
+        "nan": np.full(16, np.nan + 0j),
+        "forced-zero": np.where(np.arange(16) == 1, 1.0, dstate),
+    }[bad]
+    with pytest.raises(ValueError):
+        ansatz.divergence_relations(mode, state, dstate, 0.7)
+    with pytest.raises(ValueError):
+        ansatz.verify_divergence_constraint(mode, state, dstate, 0.7, 0.9, 1.1)
+
+
 def test_divergence_satisfied_component_vanishes():
     mode = _mode(1.5)
     rng = np.random.default_rng(30)

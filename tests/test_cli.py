@@ -288,6 +288,31 @@ def test_sweep_with_a_bad_entry_writes_nothing(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("flag", ["--eps-list", "--mass-list"])
+def test_sweep_with_an_empty_value_list_is_a_usage_error(tmp_path, capsys, flag):
+    argv = ["sweep", "--j", "1/2", "--from", "0.3", "--to", "1.0", flag, "", "--out", str(tmp_path)]
+    assert run(argv) == cli.USAGE_ERROR
+    assert "no jobs" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "geometry"], ["verify", "ansatz", "--j", "3/2"],
+     ["integrate", "--j", "1/2", "--delta", "+1", "--from", "0.3", "--to", "1.0"],
+     ["sweep", "--j", "1/2", "--from", "0.3", "--to", "1.0"]],
+    ids=["verify-geometry", "verify-ansatz", "integrate", "sweep"],
+)
+def test_negative_seed_is_a_usage_error_naming_the_option(tmp_path, capsys, argv):
+    assert run(argv + ["--seed", "-1", "--out", str(tmp_path)]) == cli.USAGE_ERROR
+    assert "--seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+    conf = tmp_path / "c.conf"
+    conf.write_text("seed = -3\n")
+    assert run(argv + ["--config", str(conf), "--out", str(tmp_path / "out")]) == cli.USAGE_ERROR
+    assert f"{conf}:1: seed: must be a non-negative integer" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["c.conf"]
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [(["verify", "wigner", "--j", "1e400"], "--j"),

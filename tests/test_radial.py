@@ -222,23 +222,30 @@ def test_constraint_rows_match_divergence_relations():
 def test_constraint_derivative_is_exact():
     mode = _mode(j=1.5, delta=+1)
     h = 1e-6
-    dc = radial.constraint_matrix_derivative(mode, 0.8)
+    dc = radial.ConstraintSet(mode).derivatives(0.8)[0]
     fd = (radial.constraint_matrix(mode, 0.8 + h) - radial.constraint_matrix(mode, 0.8 - h)) / (2 * h)
     assert np.abs(dc - fd).max() < 1e-7
 
 
 def test_flow_invariance_of_constraint_surface():
-    for j in (0.5, 1.5):
+    omegas, fit_omegas = np.linspace(0.05, 1.52, 9), np.array([0.3, 0.7, 1.2])
+    for two_j in range(1, 43, 2):
         for delta in (1, -1):
-            mode = _mode(j=j, delta=delta)
-            report = radial.consistency_check(mode, [0.3, 0.7, 1.2])
-            for entry in report:
-                assert entry["residual"] < 1e-10, (j, delta, entry)
-                assert entry["constraint_rank"] == 4
-                assert entry["lambda_closed_form_residual"] < 1e-10, (j, delta, entry)
-            lam = report[1]["lambda"][:2]
-            expected = radial.expected_lambda_first_rows(mode, 0.7)
-            assert np.abs(lam - expected).max() < 1e-10
+            for eps in (0.0, 1.3, 1.3 + 0.4j, 5 - 2j):
+                for mass in (0.0, 0.7, -2.0):
+                    mode = _mode(j=two_j / 2, eps=eps, mass=mass, delta=delta)
+                    for entry in radial.consistency_check(mode, omegas):
+                        assert entry["residual"] < 1e-10, (two_j, delta, eps, mass, entry)
+                        assert entry["relative_residual"] <= 1e-13, (two_j, delta, eps, mass)
+                        assert entry["constraint_rank"] == 4
+                # C has full row rank, so the least-squares fit of Lambda is unique
+                mode = _mode(j=two_j / 2, eps=eps, delta=delta)
+                cons = radial.ConstraintSet(mode)
+                c = cons.matrices(fit_omegas)
+                a8 = radial.RadialSystem(mode, 8).matrices(fit_omegas)
+                fit = (cons.derivatives(fit_omegas) + c @ a8) @ np.linalg.pinv(c)
+                lam = radial.flow_mixing(mode, fit_omegas)
+                assert np.abs(lam - fit).max() < 1e-10, (two_j, delta, eps)
 
 
 def test_printed_variant_rows_are_not_flow_invariant():
@@ -389,7 +396,7 @@ def test_constraint_stack_matches_row_formula(j, delta, omega, eps, mass):
     da8 = build_dA8(mode, omega)
     dl1, dl2 = _divergence_rows(mode, derivatives)
     expected_d[2], expected_d[3] = dl1 - da8[2], dl2 - da8[6]
-    assert _rel(radial.constraint_matrix_derivative(mode, omega), expected_d) <= 1e-15
+    assert _rel(radial.ConstraintSet(mode).derivatives(omega)[0], expected_d) <= 1e-15
 
 
 def pointwise_residuals(c, y):
@@ -432,7 +439,8 @@ def test_returned_matrices_are_fresh_copies():
         lambda: radial.build_A16(mode, 0.6),
         lambda: build_dA8(mode, 0.6),
         lambda: radial.constraint_matrix(mode, 0.6),
-        lambda: radial.constraint_matrix_derivative(mode, 0.6),
+        lambda: radial.ConstraintSet(mode).derivatives(0.6)[0],
+        lambda: radial.flow_mixing(mode, 0.6)[0],
         lambda: radial.singular_residues(mode)[1],
     )
     for call in calls:
